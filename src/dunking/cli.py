@@ -265,6 +265,8 @@ RHE_OPTS = [
 
 
 def cmd_rhe(cfg):
+    if cfg["max_snapshots"] < 1:
+        raise ConfigError("--max-snapshots must be at least 1")
     msh, fields = _canonical_setup(cfg["shape"], cfg["levels"], cfg["eta"],
                                    cfg["kappa"], cfg["sigma"])
     gs = mesh_mod.geometry_stats(msh)

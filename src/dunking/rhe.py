@@ -1,14 +1,15 @@
 """Transient Robin heat equation: BDF2 time stepping and spectral form.
 
 Integrates  sigma u_t - div(kappa grad u) = 0  with the Robin boundary
-condition  kappa du/dn + B eta u = 0  and initial state u = 1, producing
+condition  kappa du/dn + B g(t) eta u = 0  and initial state u = 1, producing
 the weighted average temperature
 
     u_avg(t) = (1/|Omega|) int_Omega sigma u(t)
 
-as the quantity of interest.  The autonomous problem factors its system
-matrices once; the time-dependent variant rebuilds the boundary term per
-step (only rescaling it when the variation is declared separable).
+as the quantity of interest.  Autonomous (g = 1) and time-dependent solves
+share one stepper that factors its matrix once; a step with g(t) != 1
+corrects the factored solve on the boundary nodes, where the Robin term
+lives (a Woodbury update, exact up to rounding).
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh2D, geometry_stats
-from .fem import FieldSet, Forms, assemble_forms, boundary_mass, boundary_mean
+from .fem import FieldSet, assemble_forms, boundary_mass, boundary_mean
 from .eigen import EigenPair
 
 
@@ -29,27 +30,23 @@ from .eigen import EigenPair
 class RobinCoefficient:
     """Biot number with its boundary variation.
 
-    Exactly one variation style applies:
-      * eta: static edgewise field (perimeter mean 1), the autonomous case;
-      * eta with time_scale g(t): separable variation g(t)*eta(x);
-      * eta_table(t) -> edgewise field: fully tabulated per step.
+    eta is the static edgewise field (perimeter mean 1).  Without a
+    time_scale the problem is autonomous; with one the conductance is the
+    separable B g(t) eta(x), g >= 0.
     """
     B: float
     eta: np.ndarray | None = None
     time_scale: Callable[[float], float] | None = None
-    eta_table: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.B < 0:
-            raise ValueError("Biot number must be nonnegative")
-        if self.eta is None and self.eta_table is None:
+        if not np.isfinite(self.B) or self.B < 0:
+            raise ValueError("Biot number must be finite and nonnegative")
+        if self.eta is None:
             raise ValueError("a boundary variation is required")
-        if self.eta is not None and self.eta_table is not None:
-            raise ValueError("give either a static field or a table, not both")
 
     @property
     def autonomous(self) -> bool:
-        return self.eta is not None and self.time_scale is None
+        return self.time_scale is None
 
 
 @dataclass
@@ -58,7 +55,6 @@ class TransientSolution:
     u_avg: np.ndarray
     snapshot_times: np.ndarray | None = None
     snapshots: np.ndarray | None = None  # (len(snapshot_times), n) nodal fields
-    cv: np.ndarray | None = None         # per-snapshot coefficient of variation
 
     def write_series(self, path) -> None:
         with open(path, "w") as fh:
@@ -90,95 +86,97 @@ def solve_rhea(mesh: Mesh2D, fields: FieldSet, robin: RobinCoefficient,
                max_snapshots: int = 200) -> TransientSolution:
     """Autonomous solve; BDF2 after one backward-Euler startup step.
 
-    t_f defaults to three lumped time constants 3/(B*gamma); both system
-    matrices are factored once.  u_avg is recorded at every step and up to
-    max_snapshots nodal fields are kept at (nearly) equispaced steps.
+    t_f defaults to three lumped time constants 3/(B*gamma).  u_avg is
+    recorded at every step and up to max_snapshots nodal fields are kept at
+    (nearly) equispaced steps.
     """
     if not robin.autonomous:
         raise ValueError("solve_rhea requires a static boundary variation")
-    if steps < 2:
-        raise ValueError("need at least 2 time steps")
-    eta = np.asarray(robin.eta, dtype=float)
-    if np.any(eta < 0):
-        raise ValueError("eta must be nonnegative")
-    if abs(boundary_mean(mesh, eta) - 1.0) > 1e-8:
-        raise ValueError("static eta must have perimeter mean 1")
-    gs = geometry_stats(mesh)
     if t_f is None:
         if robin.B == 0:
             raise ValueError("t_f must be given when B = 0")
-        t_f = 3.0 / (robin.B * gs.gamma)
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
-
-    forms = assemble_forms(mesh, fields)
-    K = (forms.A0 + robin.B * boundary_mass(mesh, eta)).tocsc()
-    return _march(mesh, forms, lambda t: K, t_f, steps, max_snapshots,
-                  refactor=False)
+        t_f = 3.0 / (robin.B * geometry_stats(mesh).gamma)
+    return _march(mesh, fields, robin, t_f, steps, max_snapshots)
 
 
 def solve_rhe_timedep(mesh: Mesh2D, fields: FieldSet, robin: RobinCoefficient,
                       t_f: float, steps: int = 2000,
                       max_snapshots: int = 200) -> TransientSolution:
-    """Time-dependent variation; the implicit matrix is rebuilt per step."""
+    """Separable variation B g(t) eta, g finite and nonnegative at every step
+    time; with g = 1 the result equals solve_rhea's bit for bit."""
+    return _march(mesh, fields, robin, t_f, steps, max_snapshots)
+
+
+def _march(mesh, fields, robin, t_f, steps, max_snapshots):
+    """BDF2 after one backward-Euler step for  M u' + (A0 + B g(t) A1) u = 0.
+
+    The startup matrix M/dt + A0 + B g(t_1) A1 and K1 = 1.5 M/dt + A0 + B A1
+    are factored once each.  A step with s = B (g(t) - 1) != 0 corrects
+    y = K1^-1 rhs on the boundary nodes b carrying A1 = P^T A1_bb P
+    (Woodbury):  u = y - K1^-1 P^T w,  (I + s A1_bb C) w = s A1_bb y_b,
+    C = P K1^-1 P^T.  The pencil (C A1_bb C, C) has C-orthonormal
+    eigenvectors V with A1_bb C V = V diag(lam), so
+    w = V diag(s / (1 + s lam)) W y_b  for W = V^T C A1_bb;
+    1 + s lam > 0 because K1 + s A1 is SPD for every g >= 0.
+    """
     if steps < 2:
         raise ValueError("need at least 2 time steps")
-    if t_f is None or t_f <= 0:
-        raise ValueError("t_f must be positive")
-    forms = assemble_forms(mesh, fields)
-    if robin.eta_table is not None:
-        def K_of(t):
-            eta_t = np.asarray(robin.eta_table(t), dtype=float)
-            if np.any(eta_t < -1e-14):
-                raise ValueError(f"eta(t={t}) has negative values")
-            return (forms.A0 + robin.B * boundary_mass(mesh, eta_t)).tocsc()
-    else:
-        A1 = boundary_mass(mesh, np.asarray(robin.eta, dtype=float))
-        g = robin.time_scale or (lambda t: 1.0)
-        def K_of(t):
-            gt = float(g(t))
-            if gt < 0:
-                raise ValueError(f"time scale negative at t={t}")
-            return (forms.A0 + robin.B * gt * A1).tocsc()
-    return _march(mesh, forms, K_of, t_f, steps, max_snapshots, refactor=True)
+    if not np.isfinite(t_f) or t_f <= 0:
+        raise ValueError("t_f must be finite and positive")
+    eta = np.asarray(robin.eta, dtype=float)
+    if np.any(eta < 0):
+        raise ValueError("eta must be nonnegative")
+    if abs(boundary_mean(mesh, eta) - 1.0) > 1e-8:
+        raise ValueError("static eta must have perimeter mean 1")
+    times = np.linspace(0.0, t_f, steps + 1)
+    g = np.ones(steps + 1) if robin.time_scale is None else \
+        np.array([float(robin.time_scale(t)) for t in times])
+    bad = np.flatnonzero(~(np.isfinite(g) & (g >= 0)))
+    if bad.size:
+        raise ValueError("time scale must be finite and nonnegative; "
+                         f"g({times[bad[0]]:.17g}) = {g[bad[0]]}")
 
-
-def _march(mesh, forms: Forms, K_of, t_f, steps, max_snapshots, refactor):
     n = mesh.num_vertices
     dt = t_f / steps
+    forms = assemble_forms(mesh, fields)
     M = forms.M.tocsc()
     c = forms.c
     area = c.sum()  # = int sigma = |Omega| for normalized fields
+    A1 = boundary_mass(mesh, eta)
+    K = (forms.A0 + robin.B * A1).tocsc()
+    s = robin.B * (g - 1.0)
+    lu = spla.splu(1.5 * M / dt + K)
+    if np.any(s[2:]):
+        bnd = np.unique(A1.nonzero()[0])
+        A_bb = A1[bnd][:, bnd].toarray()
+        E = np.zeros((n, len(bnd)))
+        E[bnd, np.arange(len(bnd))] = 1.0
+        C = lu.solve(E)[bnd]
+        C = 0.5 * (C + C.T)
+        lam, V = sla.eigh(C @ A_bb @ C, C)
+        W = V.T @ C @ A_bb
+        r = np.zeros(n)  # P^T w; zero off the boundary nodes
 
-    times = np.linspace(0.0, t_f, steps + 1)
+    slots = _snapshot_slots(steps, max_snapshots)
+    keep = set(slots.tolist())
     u_avg = np.empty(steps + 1)
-    slots = set(_snapshot_slots(steps, max_snapshots).tolist())
-    snap_t, snaps = [], []
-
-    u_prev = np.ones(n)
     u_avg[0] = 1.0  # exact: the initial field is identically one
-    if 0 in slots:
-        snap_t.append(0.0); snaps.append(u_prev.copy())
-
-    # implicit matrices: backward Euler for the startup step, BDF2 after
-    lu_be = spla.splu(M / dt + K_of(times[1]))
-    u = lu_be.solve(M @ u_prev / dt)
-    u_avg[1] = c @ u / area
-    if 1 in slots:
-        snap_t.append(times[1]); snaps.append(u.copy())
-
-    lu = None
-    for k in range(2, steps + 1):
-        if lu is None or refactor:
-            lu = spla.splu(1.5 * M / dt + K_of(times[k]))
-        rhs = M @ (2.0 * u - 0.5 * u_prev) / dt
-        u_prev, u = u, lu.solve(rhs)
+    u_prev = np.ones(n)
+    snaps = [u_prev.copy()] if 0 in keep else []
+    K_be = K if s[1] == 0.0 else (forms.A0 + (robin.B * g[1]) * A1).tocsc()
+    u = spla.splu(M / dt + K_be).solve(M @ u_prev / dt)
+    for k in range(1, steps + 1):
+        if k > 1:
+            y = lu.solve(M @ (2.0 * u - 0.5 * u_prev) / dt)
+            if s[k] != 0.0:
+                r[bnd] = V @ (s[k] / (1.0 + s[k] * lam) * (W @ y[bnd]))
+                y -= lu.solve(r)
+            u_prev, u = u, y
         u_avg[k] = c @ u / area
-        if k in slots:
-            snap_t.append(times[k]); snaps.append(u.copy())
-
+        if k in keep:
+            snaps.append(u.copy())
     return TransientSolution(times=times, u_avg=u_avg,
-                             snapshot_times=np.asarray(snap_t),
+                             snapshot_times=times[slots],
                              snapshots=np.asarray(snaps))
 
 
@@ -220,9 +218,10 @@ def coefficient_of_variation(solution: TransientSolution, mesh: Mesh2D) -> np.nd
     plain = FieldSet.from_constants(mesh)
     M1 = assemble_forms(mesh, plain).M
     area = geometry_stats(mesh).area
+    mass = M1 @ np.ones(mesh.num_vertices)
     out = np.empty(len(solution.snapshots))
     for i, u in enumerate(solution.snapshots):
-        mean = float((M1 @ np.ones(mesh.num_vertices)) @ u) / area
+        mean = float(mass @ u) / area
         if mean <= 0:
             out[i] = np.nan
             continue

@@ -180,6 +180,22 @@ def test_bad_numeric_value_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_nonfinite_biot_is_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "rhe", "--shape", "disk", "--levels", "3",
+                    "--B", "nan")
+    assert code == 2
+    assert "Biot number" in capsys.readouterr().err
+    assert not (out / "rhe_series.csv").exists()
+
+
+def test_rhe_rejects_zero_snapshots_before_solving(tmp_path, capsys):
+    code, out = run(tmp_path, "rhe", "--shape", "square", "--levels", "3",
+                    "--B", "0.04", "--max-snapshots", "0")
+    assert code == 2
+    assert "--max-snapshots" in capsys.readouterr().err
+    assert not (out / "rhe_series.csv").exists()
+
+
 def test_unreachable_inversion_is_numeric_error(tmp_path):
     code, _ = run(tmp_path, "learn-q", "--correlation",
                   "churchill_bernstein", "--Re", "1.0", "--Nu", "1e9",

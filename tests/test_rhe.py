@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from dunking import budget, eigen, fem, mesh, rhe
 
@@ -37,19 +39,22 @@ def test_maximum_principle_on_fixtures():
             assert snap.min() >= -1e-8 and snap.max() <= 1.0 + 1e-8
 
 
+def _bdf2_orders(solve, m, f, robin, t_f, fine_steps):
+    """Observed orders of u_avg(t_f) at 100, 200, 400 steps vs a fine run."""
+    fine = solve(m, f, robin, t_f=t_f, steps=fine_steps).u_avg[-1]
+    errs = np.array([abs(solve(m, f, robin, t_f=t_f, steps=n).u_avg[-1] - fine)
+                     for n in (100, 200, 400)])
+    return np.log2(errs[:-1] / errs[1:])
+
+
 def test_bdf2_second_order(disk4):
     f = uniform_fields(disk4)
     gs = mesh.geometry_stats(disk4)
     B = 0.05 * gs.gamma
     t_f = 1.0 / (B * gs.gamma)
     robin = rhe.RobinCoefficient(B, eta=f.eta)
-    fine = rhe.solve_rhea(disk4, f, robin, t_f=t_f, steps=1600)
-    errs = []
-    for steps in (100, 200, 400):
-        sol = rhe.solve_rhea(disk4, f, robin, t_f=t_f, steps=steps)
-        errs.append(abs(sol.u_avg[-1] - fine.u_avg[-1]))
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(orders > 1.9)
+    assert np.all(_bdf2_orders(rhe.solve_rhea, disk4, f, robin, t_f, 1600)
+                  > 1.9)
 
 
 def test_lumping_gap_against_sensitivity_bound(disk4):
@@ -75,6 +80,57 @@ def test_time_dependent_constant_matches_autonomous(disk4):
     assert np.array_equal(auto.u_avg, tdep.u_avg)
 
 
+def _stepwise_reference(m, f, B, g, t_f, steps):
+    """u_avg of BDF2 with the implicit matrix factored anew at every step."""
+    forms = fem.assemble_forms(m, f)
+    A1 = fem.boundary_mass(m, f.eta)
+    M = forms.M.tocsc()
+    area = forms.c.sum()
+    dt = t_f / steps
+    times = np.linspace(0.0, t_f, steps + 1)
+    K = lambda t: (forms.A0 + B * g(t) * A1).tocsc()
+    u_prev = np.ones(m.num_vertices)
+    u = spla.splu(M / dt + K(times[1])).solve(M @ u_prev / dt)
+    u_avg = [1.0, forms.c @ u / area]
+    for t in times[2:]:
+        rhs = M @ (2.0 * u - 0.5 * u_prev) / dt
+        u_prev, u = u, spla.splu(1.5 * M / dt + K(t)).solve(rhs)
+        u_avg.append(forms.c @ u / area)
+    return np.array(u_avg)
+
+
+@pytest.fixture(scope="module")
+def disk3():
+    return mesh.generate_canonical("disk", 3)
+
+
+@settings(max_examples=10)  # each example factors 200 matrices
+@given(st.floats(0.0, 0.9), st.floats(0.01, 1.0))
+def test_timedep_matches_stepwise_factorization(disk3, amplitude, period):
+    f = uniform_fields(disk3)
+    gs = mesh.geometry_stats(disk3)
+    B = 0.05 * gs.gamma
+    t_f = 1.0 / (B * gs.gamma)
+    g = lambda t: 1.0 + amplitude * np.sin(2 * np.pi * t / (period * t_f))
+    sol = rhe.solve_rhe_timedep(
+        disk3, f, rhe.RobinCoefficient(B, eta=f.eta, time_scale=g),
+        t_f=t_f, steps=200, max_snapshots=0)
+    ref = _stepwise_reference(disk3, f, B, g, t_f, 200)
+    assert np.max(np.abs(sol.u_avg - ref)) <= 1e-12
+
+
+def test_timedep_bdf2_second_order(disk4):
+    f = uniform_fields(disk4)
+    gs = mesh.geometry_stats(disk4)
+    B = 0.05 * gs.gamma
+    t_f = 1.0 / (B * gs.gamma)
+    robin = rhe.RobinCoefficient(
+        B, eta=f.eta,
+        time_scale=lambda t: 1.0 + 0.5 * np.sin(4 * np.pi * t / t_f))
+    assert np.all(_bdf2_orders(rhe.solve_rhe_timedep, disk4, f, robin, t_f,
+                               3200) > 1.9)
+
+
 def test_oscillating_conductance_reduces_with_period(disk4):
     f = uniform_fields(disk4)
     gs = mesh.geometry_stats(disk4)
@@ -97,9 +153,12 @@ def test_robin_coefficient_validation(disk4):
     eta = uniform_fields(disk4).eta
     with pytest.raises(ValueError):
         rhe.RobinCoefficient(-0.1, eta=eta)
+    for bad_B in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            rhe.RobinCoefficient(bad_B, eta=eta)
     with pytest.raises(ValueError):
         rhe.RobinCoefficient(0.1)  # no variation style at all
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # tabulated eta(t) is not supported
         rhe.RobinCoefficient(0.1, eta=eta, eta_table=(np.array([0.0, 1.0]),
                                                       np.ones((2, 1, 2))))
     robin = rhe.RobinCoefficient(0.1, eta=eta)
@@ -120,6 +179,29 @@ def test_solver_input_validation(disk4):
     with pytest.raises(ValueError):
         # no horizon available when B = 0
         rhe.solve_rhea(disk4, f, rhe.RobinCoefficient(0.0, eta=f.eta))
+
+
+def test_timedep_input_validation(disk4):
+    f = uniform_fields(disk4)
+    bad = f.eta.copy()
+    bad[0] = -0.5
+
+    def solve(eta=f.eta, scale=lambda t: 1.0, t_f=1.0):
+        return rhe.solve_rhe_timedep(
+            disk4, f, rhe.RobinCoefficient(0.1, eta=eta, time_scale=scale),
+            t_f=t_f, steps=10)
+
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        solve(eta=bad)
+    with pytest.raises(ValueError, match="perimeter mean 1"):
+        solve(eta=2 * f.eta)
+    for t_f in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="t_f"):
+            solve(t_f=t_f)
+    for scale in (lambda t: np.nan, lambda t: np.inf,
+                  lambda t: 1.0 - 2.0 * (t > 0.5)):
+        with pytest.raises(ValueError, match="time scale"):
+            solve(scale=scale)
 
 
 def test_snapshot_budget(disk4):
