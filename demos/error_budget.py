@@ -8,25 +8,21 @@ for a set of measured cylinder parameters.
 """
 import math
 
-from dunking import budget, eigen, fem
+from dunking import budget, fem
 from dunking import mesh as mesh_mod
 
 # --- phi and its computable upper bound on a canonical shape ------------
+# one factorization of the mean-constrained stiffness gives phi(1,1,1),
+# the stability eigenvalues and phi for each boundary variation
 
 msh = mesh_mod.generate_canonical("square", 5)
-gs = mesh_mod.geometry_stats(msh)
-fields = fem.FieldSet.from_constants(msh)
-fields.eta = fem.eta_variation(msh, "sinusoidal")
-
-phi111 = budget.solve_phi(msh, fem.FieldSet.from_constants(msh)).phi
-phi = budget.solve_phi(msh, fields).phi
-stab = eigen.stability_constants(msh)
-ub = budget.phi_upper_bound(msh, fields, stab, phi111)
+sc = budget.shape_constants(msh, [fem.eta_variation(msh, "sinusoidal")])
+ub = sc.bounds[0]
 
 print(f"square, sinusoidal boundary variation (level 5)")
-print(f"  gamma            = {gs.gamma:.6f}   (exact: 4)")
-print(f"  phi(1,1,1)       = {phi111:.6f}")
-print(f"  phi              = {phi:.6f}")
+print(f"  gamma            = {sc.gamma:.6f}   (exact: 4)")
+print(f"  phi(1,1,1)       = {sc.phi111:.6f}")
+print(f"  phi              = {sc.phi[0]:.6f}")
 print(f"  phi upper bound  = {ub.bound:.6f}  (boundary term {ub.delta_eta:.4f})")
 print(f"  variance of eta  = {ub.var_eta:.6f}")
 

@@ -16,19 +16,33 @@ phi itself requires solving one linear mean-constrained Poisson-type
 problem; when the detailed coefficient fields are unknown, the computable
 bound (sqrt(phi(1,1,1)) + sqrt(delta_sigma) + sqrt(delta_eta))^2 needs
 only the two field variances and the geometric stability eigenvalues.
+
+On a unit-coefficient body, phi(1,1,1), mu, Lambda and every phi(eta) come
+from one operator, the mean-constrained stiffness; ``shape_constants``
+factors it once per mesh, and ``reproduce_tables`` recomputes the bundled
+reference tables from it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
-from .mesh import Mesh2D, geometry_stats
-from .fem import (FieldSet, assemble_forms, boundary_mass, boundary_variance,
-                  solve_constrained, volume_variance)
-from .eigen import StabilityConstants, generalized_eigs
+from .mesh import GeometryStats, Mesh2D, generate_canonical, geometry_stats
+from .fem import (ETA_VARIATIONS, ConstrainedOperator, FieldSet,
+                  assemble_forms, boundary_mass, boundary_variance,
+                  eta_variation, factor_constrained, solve_constrained,
+                  volume_variance)
+from .eigen import (StabilityConstants, constrained_stability,
+                    generalized_eigs)
+
+SHAPES = ("disk", "square", "triangle", "cross")
+# table row names -> canonical mesh generator names
+_MESH_SHAPE = {"triangle": "equilateral_triangle"}
 
 
 # ------------------------------------------------------------------- phi
@@ -61,15 +75,20 @@ def solve_phi(mesh: Mesh2D, fields: FieldSet) -> PhiResult:
     compatibility failure therefore signals an unnormalized eta_bar.
     """
     forms = assemble_forms(mesh, fields)
-    gs = geometry_stats(mesh)
-    ones = np.ones(mesh.num_vertices)
-    rhs = (gs.gamma * forms.c - boundary_mass(mesh, fields.eta) @ ones)
-    rhs /= np.sqrt(gs.area)
-    sol = solve_constrained(forms.A0, forms.c, rhs)
-    psi = sol.u
-    phi = float(psi @ (forms.A0 @ psi))
+    op = factor_constrained(forms.A0, forms.c)
+    phi, psi = _phi(mesh, op, geometry_stats(mesh), fields.eta)
     return PhiResult(phi=phi, sensitivity_field=psi,
                      inputs_digest=_digest(mesh, fields))
+
+
+def _phi(mesh: Mesh2D, op: ConstrainedOperator, gs: GeometryStats,
+         eta: np.ndarray) -> tuple[float, np.ndarray]:
+    """(phi, psi) for one eta on the factored constrained stiffness."""
+    ones = np.ones(mesh.num_vertices)
+    rhs = (gs.gamma * op.c - boundary_mass(mesh, eta) @ ones)
+    rhs /= np.sqrt(gs.area)
+    psi = solve_constrained(op, rhs).u
+    return float(psi @ (op.A @ psi)), psi
 
 
 # ----------------------------------------------------------- upper bound
@@ -125,6 +144,99 @@ def composite_sigma_variance(fractions, rho_c) -> float:
     return float(v @ (rc / avg - 1.0) ** 2)
 
 
+# ------------------------------------------------- per-shape constants
+
+@dataclass
+class ShapeConstants:
+    """The phi bound's ingredients on one unit-kappa, unit-sigma body."""
+    gamma: float
+    phi111: float
+    stability: StabilityConstants
+    phi: list[float]             # one per eta, in the order given
+    bounds: list[PhiUpperBound]  # one per eta, in the order given
+    phi_ub_est: float            # the bound at unit eta variance
+
+
+def shape_constants(mesh: Mesh2D, etas) -> ShapeConstants:
+    """gamma, phi111, mu, Lambda and each eta's phi and phi_ub.
+
+    kappa and sigma are 1; each eta must be normalized (perimeter mean 1).
+    One assembly, one geometry pass and one factorization of the
+    mean-constrained stiffness serve every solve and both eigenvalues.
+    """
+    uniform = FieldSet.from_constants(mesh)
+    forms = assemble_forms(mesh, uniform)
+    gs = geometry_stats(mesh)
+    op = factor_constrained(forms.A0, forms.c)
+    phi111 = _phi(mesh, op, gs, uniform.eta)[0]
+    stab = constrained_stability(op, forms.M, forms.A1, gs.gamma)
+    phis, bounds = [], []
+    for eta in etas:
+        phis.append(_phi(mesh, op, gs, eta)[0])
+        bounds.append(phi_upper_bound(mesh, uniform.replace(eta=eta), stab,
+                                      phi111))
+    ub_est = (math.sqrt(phi111) + math.sqrt(stab.gamma_over_lambda)) ** 2
+    return ShapeConstants(gamma=gs.gamma, phi111=phi111, stability=stab,
+                          phi=phis, bounds=bounds, phi_ub_est=ub_est)
+
+
+# -------------------------------------------------------- reference tables
+
+def canonical_mesh(shape: str, levels: int) -> Mesh2D:
+    """Canonical mesh of a table shape name (or a mesh generator name)."""
+    return generate_canonical(_MESH_SHAPE.get(shape, shape), levels)
+
+
+def load_reference_constants() -> dict:
+    """Bundled reference values keyed (table, shape, variation, quantity)."""
+    out = {}
+    text = (resources.files("dunking.data") / "reference_constants.csv")
+    with text.open() as fh:
+        next(fh)
+        for line in fh:
+            table, shape, variation, quantity, value = line.strip().split(",")
+            out[(table, shape, variation, quantity)] = float(value)
+    return out
+
+
+def reproduce_tables(levels: int = 4) -> list[tuple]:
+    """Recompute every bundled reference cell at the given refinement.
+
+    Returns rows (table, shape, variation, quantity, reference, computed,
+    rel_error); for reference values below 1e-12 the absolute error is
+    reported in the rel_error column.
+    """
+    refs = load_reference_constants()
+    rows = []
+    for shape in SHAPES:
+        rows += _shape_table_rows(refs, shape, levels)
+    return rows
+
+
+def _shape_table_rows(refs: dict, shape: str, levels: int) -> list[tuple]:
+    # one shape per call, so its mesh and factor are freed before the next
+    msh = canonical_mesh(shape, levels)
+    sc = shape_constants(msh, [eta_variation(msh, v) for v in ETA_VARIATIONS])
+    cells = [("geometry_constants", "", "phi111", sc.phi111),
+             ("geometry_constants", "", "gamma_sq_over_mu",
+              sc.stability.gamma_sq_over_mu),
+             ("geometry_constants", "", "gamma_over_lambda",
+              sc.stability.gamma_over_lambda)]
+    for variation, phi, ub in zip(ETA_VARIATIONS, sc.phi, sc.bounds):
+        cells += [("eta_table", variation, "phi", phi),
+                  ("eta_table", variation, "phi_ub", ub.bound),
+                  ("eta_table", variation, "phi_ub_est", sc.phi_ub_est),
+                  ("eta_table", variation, "delta_eta", ub.delta_eta),
+                  ("eta_table", variation, "variance", ub.var_eta)]
+    rows = []
+    for table, variation, quantity, computed in cells:
+        ref = refs[(table, shape, variation, quantity)]
+        err = abs(computed - ref) / abs(ref) if abs(ref) > 1e-12 \
+            else abs(computed - ref)
+        rows.append((table, shape, variation, quantity, ref, computed, err))
+    return rows
+
+
 # ------------------------------------------------------------ the budget
 
 @dataclass
@@ -150,10 +262,10 @@ def assemble_budget(B: float, B_est: float, gamma: float, phi_used: float,
     temporal_inputs, when given, is (|Omega|, ||eta - eta_bar||_{L1(L1)})
     and activates the temporal term sqrt((2B/|Omega|)*norm).
     """
-    if B < 0 or B_est < 0:
-        raise ValueError("Biot numbers must be nonnegative")
-    if gamma <= 0 or phi_used <= 0:
-        raise ValueError("gamma and phi must be positive")
+    if not (0 <= B < np.inf and 0 <= B_est < np.inf):
+        raise ValueError("Biot numbers must be finite and nonnegative")
+    if not (0 < gamma < np.inf and 0 < phi_used < np.inf):
+        raise ValueError("gamma and phi must be finite and positive")
     if B == B_est:
         biot = 0.0
     elif B_est == 0.0 or B == 0.0:
@@ -164,8 +276,9 @@ def assemble_budget(B: float, B_est: float, gamma: float, phi_used: float,
     temporal = None
     if temporal_inputs is not None:
         volume, norm = temporal_inputs
-        if volume <= 0 or norm < 0:
-            raise ValueError("bad temporal inputs")
+        if not (0 < volume < np.inf and 0 <= norm < np.inf):
+            raise ValueError("temporal inputs must be finite, with a "
+                             "positive volume and a nonnegative norm")
         temporal = float(np.sqrt(2.0 * B / volume * norm))
     total = lumping + biot + (temporal or 0.0)
     return ErrorBudget(lumping=float(lumping), biot=float(biot),

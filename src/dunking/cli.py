@@ -16,13 +16,11 @@ import argparse
 import math
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import budget as budget_mod
 from . import correlations as corr_mod
-from . import eigen as eigen_mod
 from . import fem
 from . import lcm as lcm_mod
 from . import lengthscale as ls_mod
@@ -36,10 +34,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "DUNKING_OUTPUT_DIR"
-
-SHAPES = ("disk", "square", "triangle", "cross")
-# table/CLI row names -> canonical mesh generator names
-_MESH_SHAPE = {"triangle": "equilateral_triangle"}
 
 
 class ConfigError(Exception):
@@ -168,14 +162,16 @@ def write_report(cfg, command, rows) -> str:
 
 # ------------------------------------------------------------ subcommands
 
-def _canonical_setup(shape, levels, eta_kind, kappa=1.0, sigma=1.0):
-    if shape not in SHAPES and shape not in _MESH_SHAPE.values():
-        raise ConfigError(f"unknown shape {shape!r}; choose from {SHAPES}")
+def _canonical_setup(shape, levels, eta_kind):
+    if (shape not in budget_mod.SHAPES
+            and shape not in mesh_mod.CANONICAL_SHAPES):
+        raise ConfigError(f"unknown shape {shape!r}; choose from "
+                          f"{budget_mod.SHAPES}")
     if eta_kind not in fem.ETA_VARIATIONS:
         raise ConfigError(f"unknown eta variation {eta_kind!r}; choose from "
                           f"{fem.ETA_VARIATIONS}")
-    msh = mesh_mod.generate_canonical(_MESH_SHAPE.get(shape, shape), levels)
-    fields = fem.FieldSet.from_constants(msh, kappa=kappa, sigma=sigma)
+    msh = budget_mod.canonical_mesh(shape, levels)
+    fields = fem.FieldSet.from_constants(msh)
     fields.eta = fem.eta_variation(msh, eta_kind)
     return msh, fields
 
@@ -185,27 +181,20 @@ PHI_OPTS = [
     Opt("eta", str, "constant", help="boundary variation: constant | linear "
         "| sinusoidal | step"),
     Opt("levels", int, 4, help="mesh refinement level"),
-    Opt("kappa", float, 1.0), Opt("sigma", float, 1.0),
 ]
 
 
 def cmd_phi(cfg):
-    msh, fields = _canonical_setup(cfg["shape"], cfg["levels"], cfg["eta"],
-                                   cfg["kappa"], cfg["sigma"])
-    gs = mesh_mod.geometry_stats(msh)
-    uniform = fem.FieldSet.from_constants(msh)
-    phi111 = budget_mod.solve_phi(msh, uniform).phi
-    phi = budget_mod.solve_phi(msh, fields).phi
-    stab = eigen_mod.stability_constants(msh)
-    ub = budget_mod.phi_upper_bound(msh, fields, stab, phi111)
-    ub_est = (math.sqrt(phi111) + math.sqrt(stab.gamma_over_lambda)) ** 2
+    msh, fields = _canonical_setup(cfg["shape"], cfg["levels"], cfg["eta"])
+    sc = budget_mod.shape_constants(msh, [fields.eta])
+    ub = sc.bounds[0]
     rows = [("shape", cfg["shape"]), ("eta", cfg["eta"]),
-            ("levels", cfg["levels"]), ("gamma", gs.gamma),
-            ("phi", phi), ("phi111", phi111),
-            ("gamma_sq_over_mu", stab.gamma_sq_over_mu),
-            ("gamma_over_lambda", stab.gamma_over_lambda),
+            ("levels", cfg["levels"]), ("gamma", sc.gamma),
+            ("phi", sc.phi[0]), ("phi111", sc.phi111),
+            ("gamma_sq_over_mu", sc.stability.gamma_sq_over_mu),
+            ("gamma_over_lambda", sc.stability.gamma_over_lambda),
             ("var_eta", ub.var_eta), ("delta_eta", ub.delta_eta),
-            ("phi_ub", ub.bound), ("phi_ub_est", ub_est)]
+            ("phi_ub", ub.bound), ("phi_ub_est", sc.phi_ub_est)]
     write_report(cfg, "phi", rows)
 
 
@@ -259,7 +248,6 @@ RHE_OPTS = [
     Opt("eta", str, "constant"),
     Opt("t_f", float, None, help="final time (default 3/(B*gamma))"),
     Opt("steps", int, 2000), Opt("max_snapshots", int, 200),
-    Opt("kappa", float, 1.0), Opt("sigma", float, 1.0),
     Opt("snapshots", bool, False, help="also write solution snapshots"),
 ]
 
@@ -267,8 +255,7 @@ RHE_OPTS = [
 def cmd_rhe(cfg):
     if cfg["max_snapshots"] < 1:
         raise ConfigError("--max-snapshots must be at least 1")
-    msh, fields = _canonical_setup(cfg["shape"], cfg["levels"], cfg["eta"],
-                                   cfg["kappa"], cfg["sigma"])
+    msh, fields = _canonical_setup(cfg["shape"], cfg["levels"], cfg["eta"])
     gs = mesh_mod.geometry_stats(msh)
     robin = rhe_mod.RobinCoefficient(cfg["B"], eta=fields.eta)
     sol = rhe_mod.solve_rhea(msh, fields, robin, t_f=cfg["t_f"],
@@ -507,61 +494,8 @@ def cmd_correlate(cfg):
 TABLES_OPTS = [Opt("levels", int, 6, help="mesh refinement level")]
 
 
-def load_reference_constants():
-    """Bundled reference values keyed (table, shape, variation, quantity)."""
-    out = {}
-    text = (resources.files("dunking.data") / "reference_constants.csv")
-    with text.open() as fh:
-        next(fh)
-        for line in fh:
-            table, shape, variation, quantity, value = line.strip().split(",")
-            out[(table, shape, variation, quantity)] = float(value)
-    return out
-
-
-def reproduce_tables(levels: int = 4):
-    """Recompute every bundled reference cell at the given refinement.
-
-    Returns rows (table, shape, variation, quantity, reference, computed,
-    rel_error); for reference values below 1e-12 the absolute error is
-    reported in the rel_error column.
-    """
-    refs = load_reference_constants()
-    rows = []
-
-    def add(table, shape, variation, quantity, computed):
-        ref = refs[(table, shape, variation, quantity)]
-        err = abs(computed - ref) / abs(ref) if abs(ref) > 1e-12 \
-            else abs(computed - ref)
-        rows.append((table, shape, variation, quantity, ref, computed, err))
-
-    for shape in SHAPES:
-        msh = mesh_mod.generate_canonical(_MESH_SHAPE.get(shape, shape),
-                                          levels)
-        uniform = fem.FieldSet.from_constants(msh)
-        phi111 = budget_mod.solve_phi(msh, uniform).phi
-        stab = eigen_mod.stability_constants(msh)
-        add("geometry_constants", shape, "", "phi111", phi111)
-        add("geometry_constants", shape, "", "gamma_sq_over_mu",
-            stab.gamma_sq_over_mu)
-        add("geometry_constants", shape, "", "gamma_over_lambda",
-            stab.gamma_over_lambda)
-        ub_est = (math.sqrt(phi111) + math.sqrt(stab.gamma_over_lambda)) ** 2
-        for variation in fem.ETA_VARIATIONS:
-            fields = fem.FieldSet.from_constants(msh)
-            fields.eta = fem.eta_variation(msh, variation)
-            phi = budget_mod.solve_phi(msh, fields).phi
-            ub = budget_mod.phi_upper_bound(msh, fields, stab, phi111)
-            add("eta_table", shape, variation, "phi", phi)
-            add("eta_table", shape, variation, "phi_ub", ub.bound)
-            add("eta_table", shape, variation, "phi_ub_est", ub_est)
-            add("eta_table", shape, variation, "delta_eta", ub.delta_eta)
-            add("eta_table", shape, variation, "variance", ub.var_eta)
-    return rows
-
-
 def cmd_tables(cfg):
-    rows = reproduce_tables(cfg["levels"])
+    rows = budget_mod.reproduce_tables(cfg["levels"])
     path = os.path.join(_outdir(cfg), "tables.csv")
     with open(path, "w") as fh:
         fh.write("table,shape,variation,quantity,reference,computed,"

@@ -187,10 +187,10 @@ def eval_correlation(corr: Correlation, Re, Pr, strict: bool = False):
     """
     Re = float(Re)
     Pr = float(Pr)
-    if Re < 0:
-        raise ValueError("Re must be nonnegative")
-    if Pr <= 0:
-        raise ValueError("Pr must be positive")
+    if not 0 <= Re < np.inf:
+        raise ValueError("Re must be finite and nonnegative")
+    if not 0 < Pr < np.inf:
+        raise ValueError("Pr must be finite and positive")
     ok = corr.in_range(Re, Pr)
     if strict and not ok:
         raise ValueError(

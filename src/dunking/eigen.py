@@ -10,18 +10,20 @@ Two kinds of solves are needed:
   the first Steklov-type eigenvalue ``Lambda`` of the stiffness form
   against the boundary mass.
 
-The constrained problems are solved with shift-0 inverse iteration on a
-bordered (saddle-point) factorization, re-imposing the mean constraint at
-every step, which keeps the iteration well defined even though the
-stiffness matrix alone is singular.  A small block with Rayleigh-Ritz
-extraction is iterated instead of a single vector: the first eigenvalues
-of the symmetric shapes come in symmetry-degenerate pairs that the mesh
-splits only at discretization level, and a block covers such clusters
-where single-vector iteration stagnates.  The boundary-mass right-hand
-side is rank deficient (interior rows vanish); iteration vectors are
+The constrained problems are solved with shift-0 inverse iteration on the
+bordered (saddle-point) factorization that ``fem.factor_constrained``
+builds, re-imposing the mean constraint at every step, which keeps the
+iteration well defined even though the stiffness matrix alone is singular.
+The caller factors once; mu, Lambda and every phi solve on the same mesh
+share that factor.  A small block with Rayleigh-Ritz extraction is
+iterated instead of a single vector: the first eigenvalues of the
+symmetric shapes come in symmetry-degenerate pairs that the mesh splits
+only at discretization level, and a block covers such clusters where
+single-vector iteration stagnates.  The boundary-mass right-hand side is
+rank deficient (interior rows vanish); iteration vectors are
 orthonormalized in the boundary seminorm and the Rayleigh quotients are
-monitored directly, so the kernel directions the boundary mass
-annihilates simply die out of the iteration.
+monitored directly, so the kernel directions the boundary mass annihilates
+simply die out of the iteration.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh2D, geometry_stats
-from .fem import FieldSet, assemble_forms
+from .fem import (ConstrainedOperator, FieldSet, assemble_forms,
+                  factor_constrained)
 
 
 @dataclass
@@ -52,17 +55,6 @@ class StabilityConstants:
 
 # ---------------------------------------------------------------- helpers
 
-def _bordered_lu(A: sp.spmatrix, c: np.ndarray):
-    """Factor [[A, c], [c^T, 0]] once for repeated constrained solves."""
-    n = A.shape[0]
-    col = sp.csc_matrix(c.reshape(n, 1))
-    B = sp.bmat([[sp.csc_matrix(A), col], [col.T, None]], format="csc")
-    return spla.splu(B)
-
-def _csolve(lu, rhs: np.ndarray) -> np.ndarray:
-    out = lu.solve(np.append(rhs, 0.0))
-    return out[:-1]
-
 def _rank_rows(Mrhs: sp.spmatrix) -> int:
     # rows with any nonzero entry; equals the matrix rank for the volume
     # and boundary mass matrices used here (block-diagonal SPD blocks)
@@ -73,16 +65,17 @@ def _rank_rows(Mrhs: sp.spmatrix) -> int:
 # ---------------------------------------------------------------- solvers
 
 def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
-                     constraint: np.ndarray | None = None,
+                     constraint: ConstrainedOperator | None = None,
                      tol: float = 1e-10, res_tol: float = 1e-8,
                      max_iter: int = 500) -> list[EigenPair]:
     """k smallest eigenpairs of ``A v = lambda Mrhs v``.
 
-    With ``constraint`` given (a weight vector c), the problem is restricted
-    to the subspace ``c . v = 0`` and the reported residual is measured
-    modulo the constraint multiplier.  Returned vectors are orthonormal in
-    the Mrhs inner product (a seminorm when Mrhs is singular) and pairs are
-    sorted by nondecreasing value.
+    With ``constraint`` given (A bordered by a weight vector c and factored
+    by ``fem.factor_constrained``), the problem is restricted to the
+    subspace ``c . v = 0`` and the reported residual is measured modulo the
+    constraint multiplier.  Returned vectors are orthonormal in the Mrhs
+    inner product (a seminorm when Mrhs is singular) and pairs are sorted by
+    nondecreasing value.
     """
     n = A.shape[0]
     if k < 1:
@@ -111,15 +104,14 @@ def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
             pairs.append(EigenPair(lam, v))
         return pairs
 
-    c = np.asarray(constraint, dtype=float)
-    if c.shape != (n,):
-        raise ValueError("constraint must be a length-n weight vector")
+    if constraint.A is not A:
+        raise ValueError("constraint was factored from another matrix")
+    c, lu = constraint.c, constraint.lu
     avail = min(n, _rank_rows(Mrhs)) - 1
     if k > avail:
         raise ValueError(
             f"k={k} exceeds the available constrained spectrum ({avail})")
 
-    lu = _bordered_lu(A, c)
     rng = np.random.default_rng(20260815)
     M = sp.csr_matrix(Mrhs)
     A = sp.csr_matrix(A)
@@ -174,7 +166,18 @@ def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
         f"(values {vals_old[:k]}, relative residuals {res})")
 
 
-def stability_constants(mesh: Mesh2D, tol: float = 1e-10) -> StabilityConstants:
+def constrained_stability(op: ConstrainedOperator, M: sp.spmatrix,
+                          A1: sp.spmatrix, gamma: float) -> StabilityConstants:
+    """mu and Lambda of the factored constrained stiffness ``op`` against the
+    volume mass M and the boundary mass A1, and their ratios with gamma."""
+    mu = generalized_eigs(op.A, M, 1, constraint=op)[0].value
+    lam = generalized_eigs(op.A, A1, 1, constraint=op)[0].value
+    return StabilityConstants(mu=mu, lambda_steklov=lam,
+                              gamma_sq_over_mu=gamma ** 2 / mu,
+                              gamma_over_lambda=gamma / lam)
+
+
+def stability_constants(mesh: Mesh2D) -> StabilityConstants:
     """First mean-constrained volume and boundary (Steklov) eigenvalues.
 
     mu      = min a0(w,w) / int_Omega w^2   over volume-mean-zero w
@@ -183,16 +186,10 @@ def stability_constants(mesh: Mesh2D, tol: float = 1e-10) -> StabilityConstants:
     and the scale-invariant ratios gamma^2/mu and gamma/Lambda built from
     the mesh's perimeter-to-area factor gamma.
     """
-    fields = FieldSet.from_constants(mesh)
-    forms = assemble_forms(mesh, fields)
-    mu = generalized_eigs(forms.A0, forms.M, 1, constraint=forms.c,
-                          tol=tol)[0].value
-    lam = generalized_eigs(forms.A0, forms.A1, 1, constraint=forms.c,
-                           tol=tol)[0].value
-    gamma = geometry_stats(mesh).gamma
-    return StabilityConstants(mu=mu, lambda_steklov=lam,
-                              gamma_sq_over_mu=gamma ** 2 / mu,
-                              gamma_over_lambda=gamma / lam)
+    forms = assemble_forms(mesh, FieldSet.from_constants(mesh))
+    op = factor_constrained(forms.A0, forms.c)
+    return constrained_stability(op, forms.M, forms.A1,
+                                 geometry_stats(mesh).gamma)
 
 
 def write_eigenpairs(path, pairs: list[EigenPair], vectors_path=None) -> None:

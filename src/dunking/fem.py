@@ -1,5 +1,5 @@
-"""P1 finite element core: coefficient fields, normalization, assembly of the
-volume/boundary bilinear forms, and the mean-constrained direct solver.
+"""P1 finite element core: coefficient fields, assembly of the volume/boundary
+bilinear forms, and the factored mean-constrained operator.
 
 Conventions for a mesh with nv vertices, nt triangles, nb boundary edges:
 
@@ -37,12 +37,12 @@ class FieldSet:
     eta: np.ndarray    # (nb, 2)
 
     @staticmethod
-    def from_constants(mesh: Mesh2D, kappa: float = 1.0, sigma: float = 1.0,
-                       eta: float = 1.0) -> "FieldSet":
+    def from_constants(mesh: Mesh2D) -> "FieldSet":
+        """Unit kappa, sigma and eta on every triangle and boundary edge."""
         return FieldSet(
-            np.full(mesh.num_triangles, float(kappa)),
-            np.full(mesh.num_triangles, float(sigma)),
-            np.full((mesh.num_boundary_edges, 2), float(eta)),
+            np.ones(mesh.num_triangles),
+            np.ones(mesh.num_triangles),
+            np.ones((mesh.num_boundary_edges, 2)),
         )
 
     @staticmethod
@@ -73,14 +73,6 @@ def _per_tri(mesh, table, what):
             raise ValueError(f"no {what} value for region {int(reg)}")
         out[k] = table[int(reg)]
     return out
-
-
-def eta_from_vertex_values(mesh: Mesh2D, values: np.ndarray) -> np.ndarray:
-    """Per-edge eta array from a value per mesh vertex (continuous profile)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (mesh.num_vertices,):
-        raise ValueError("need one eta value per mesh vertex")
-    return values[mesh.boundary_edges]
 
 
 def eta_variation(mesh: Mesh2D, kind: str, normalize: bool = True) -> np.ndarray:
@@ -146,33 +138,6 @@ def volume_variance(mesh: Mesh2D, field: np.ndarray) -> float:
     return float((areas * g * g).sum() / areas.sum())
 
 
-@dataclasses.dataclass(frozen=True)
-class FieldScales:
-    kappa_scale: float
-    sigma_scale: float
-    eta_scale: float
-
-
-def normalize_fields(mesh: Mesh2D, fields: FieldSet):
-    """Rescale to the reference normalization: ess-inf kappa = 1, area mean of
-    sigma = 1, perimeter mean of eta = 1.  Returns (normalized, FieldScales);
-    the scales are the divisors applied (so B and time rescalings are the
-    caller's responsibility)."""
-    if np.any(fields.kappa <= 0.0):
-        raise ValueError("kappa must be strictly positive")
-    if np.any(fields.sigma <= 0.0):
-        raise ValueError("sigma must be strictly positive")
-    if np.any(fields.eta < 0.0):
-        raise ValueError("eta must be nonnegative")
-    ks = float(fields.kappa.min())
-    ss = volume_mean(mesh, fields.sigma)
-    es = boundary_mean(mesh, fields.eta)
-    if es <= 0.0:
-        raise ValueError("eta vanishes identically on the boundary")
-    out = FieldSet(fields.kappa / ks, fields.sigma / ss, fields.eta / es)
-    return out, FieldScales(ks, ss, es)
-
-
 # ------------------------------------------------------------------- assembly
 
 @dataclasses.dataclass
@@ -235,7 +200,31 @@ def boundary_mass(mesh: Mesh2D, eta: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
 
 
-# ------------------------------------------------------ mean-constrained solver
+# ---------------------------------------------------- mean-constrained operator
+
+@dataclasses.dataclass(frozen=True)
+class ConstrainedOperator:
+    """A, the constraint weights c and the LU factor of [[A, c], [c^T, 0]]."""
+    A: sp.spmatrix
+    c: np.ndarray
+    lu: spla.SuperLU
+
+
+def factor_constrained(A: sp.spmatrix, c: np.ndarray) -> ConstrainedOperator:
+    """Factor the bordered matrix [[A, c], [c^T, 0]] once.
+
+    Every mean-constrained solve on one operator (each phi right-hand side,
+    every inverse-iteration step of the stability eigensolves) reuses the
+    factor.  A is symmetric with the constant vector in (or near) its
+    kernel, so the bordered system is symmetric indefinite.
+    """
+    n = A.shape[0]
+    c = np.asarray(c, dtype=float)
+    if c.shape != (n,):
+        raise ValueError("constraint must be a length-n weight vector")
+    K = sp.bmat([[A, c[:, None]], [c[None, :], None]], format="csc")
+    return ConstrainedOperator(A, c, spla.splu(K))
+
 
 @dataclasses.dataclass
 class ConstrainedSolution:
@@ -244,15 +233,15 @@ class ConstrainedSolution:
     residual: float
 
 
-def solve_constrained(A: sp.spmatrix, c: np.ndarray, rhs: np.ndarray,
+def solve_constrained(op: ConstrainedOperator, rhs: np.ndarray,
                       tol: float = 1e-10, compat_tol: float = 1e-8) -> ConstrainedSolution:
     """Solve A u + multiplier * c = rhs subject to c . u = 0.
 
-    A is symmetric with the constant vector in (or near) its kernel; the
-    bordered symmetric-indefinite system is factorized directly.  A right-hand
-    side with a nonzero component along the constants is incompatible and
-    rejected: |1 . rhs| must not exceed compat_tol * ||rhs||.
+    A right-hand side with a nonzero component along the constants is
+    incompatible and rejected: |1 . rhs| must not exceed
+    compat_tol * ||rhs||.
     """
+    A, c = op.A, op.c
     n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     nrm = np.linalg.norm(rhs)
@@ -264,98 +253,10 @@ def solve_constrained(A: sp.spmatrix, c: np.ndarray, rhs: np.ndarray,
             f"incompatible right-hand side: |1.rhs| = {ones_dot:.3e} exceeds "
             f"{compat_tol:g} * ||rhs|| = {compat_tol * nrm:.3e}"
         )
-    K = sp.bmat([[A, c[:, None]], [c[None, :], None]], format="csc")
-    sol = spla.splu(K).solve(np.concatenate([rhs, [0.0]]))
+    sol = op.lu.solve(np.concatenate([rhs, [0.0]]))
     u, mult = sol[:n], float(sol[n])
     res = np.linalg.norm(A @ u + mult * c - rhs) / nrm
     res = max(res, abs(float(c @ u)) / (np.linalg.norm(c) * max(np.linalg.norm(u), 1e-300)))
     if res > tol:
         raise RuntimeError(f"constrained solve residual {res:.3e} exceeds tol {tol:g}")
     return ConstrainedSolution(u, mult, res)
-
-
-# ------------------------------------------------------------------- field I/O
-#
-# Text format, one directive per line ('#' comments):
-#   region <tag> kappa <value> sigma <value>
-#   boundary <tag> eta <value>
-# or a nodal section for continuous boundary profiles:
-#   eta_nodal
-#   <vertex index> <value>
-
-def write_fields(fields: FieldSet, mesh: Mesh2D, path) -> None:
-    with open(path, "w") as fh:
-        for reg in np.unique(mesh.tri_regions):
-            mask = mesh.tri_regions == reg
-            kap = fields.kappa[mask]
-            sig = fields.sigma[mask]
-            if np.ptp(kap) != 0.0 or np.ptp(sig) != 0.0:
-                raise ValueError("write_fields requires region-constant kappa/sigma")
-            fh.write(f"region {int(reg)} kappa {kap[0]!r} sigma {sig[0]!r}\n")
-        per_edge = fields.eta
-        if np.ptp(per_edge, axis=1).max(initial=0.0) == 0.0:
-            tag_ok = True
-            for tag in np.unique(mesh.edge_tags):
-                vals = per_edge[mesh.edge_tags == tag, 0]
-                if np.ptp(vals) != 0.0:
-                    tag_ok = False
-            if tag_ok:
-                for tag in np.unique(mesh.edge_tags):
-                    v = per_edge[mesh.edge_tags == tag, 0][0]
-                    fh.write(f"boundary {int(tag)} eta {v!r}\n")
-                return
-        # fall back to nodal form (requires single-valued vertices)
-        nodal = np.full(mesh.num_vertices, np.nan)
-        for (i, j), (va, vb) in zip(mesh.boundary_edges, per_edge):
-            for idx, v in ((i, va), (j, vb)):
-                if not np.isnan(nodal[idx]) and nodal[idx] != v:
-                    raise ValueError(
-                        "eta carries doubled jump values; not representable nodally"
-                    )
-                nodal[idx] = v
-        fh.write("eta_nodal\n")
-        for idx in mesh.boundary_vertex_indices():
-            fh.write(f"{int(idx)} {nodal[idx]!r}\n")
-
-
-def read_fields(path, mesh: Mesh2D) -> FieldSet:
-    kappa_by, sigma_by, eta_by = {}, {}, {}
-    nodal = None
-    mode = "directives"
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if mode == "nodal":
-                idx, val = line.split()
-                nodal[int(idx)] = float(val)
-                continue
-            parts = line.split()
-            if parts[0] == "region":
-                tag = int(parts[1])
-                kv = dict(zip(parts[2::2], parts[3::2]))
-                kappa_by[tag] = float(kv["kappa"])
-                sigma_by[tag] = float(kv["sigma"])
-            elif parts[0] == "boundary":
-                if parts[2] != "eta":
-                    raise ValueError(f"bad boundary line: {line!r}")
-                eta_by[int(parts[1])] = float(parts[3])
-            elif parts[0] == "eta_nodal":
-                mode = "nodal"
-                nodal = np.full(mesh.num_vertices, np.nan)
-            else:
-                raise ValueError(f"unrecognized field directive: {parts[0]!r}")
-    fs = FieldSet.from_region_values(
-        mesh,
-        kappa_by_region=kappa_by or None,
-        sigma_by_region=sigma_by or None,
-        eta_by_tag=eta_by or None,
-    )
-    if nodal is not None:
-        bidx = mesh.boundary_vertex_indices()
-        missing = bidx[np.isnan(nodal[bidx])]
-        if missing.size:
-            raise ValueError(f"eta_nodal missing values for vertices {missing[:5].tolist()}")
-        fs.eta = eta_from_vertex_values(mesh, np.nan_to_num(nodal))
-    return fs

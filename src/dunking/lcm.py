@@ -25,10 +25,10 @@ class LumpedModel:
     T_init: float | None = None
 
     def __post_init__(self):
-        if self.B < 0:
-            raise ValueError("Biot number must be nonnegative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 <= self.B < np.inf:
+            raise ValueError("Biot number must be finite and nonnegative")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and positive")
 
     @property
     def tau_eq(self) -> float:

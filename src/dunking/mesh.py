@@ -64,9 +64,6 @@ class Mesh2D:
         e = self.boundary_edges
         return np.linalg.norm(p[e[:, 1]] - p[e[:, 0]], axis=1)
 
-    def boundary_vertex_indices(self) -> np.ndarray:
-        return np.unique(self.boundary_edges)
-
     def validate(self) -> None:
         """Check mesh consistency; raises ValueError on any defect."""
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:

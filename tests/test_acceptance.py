@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import solve_banded
 
-from dunking import budget, cli, correlations, eigen, fem, lcm
+from dunking import budget, correlations, eigen, fem, lcm
 from dunking import lengthscale as ls
 from dunking import mesh as mesh_mod
 from dunking import rhe, series
@@ -26,7 +26,7 @@ def _verdict(num, name, ok):
 
 @pytest.fixture(scope="module")
 def tables6():
-    return cli.reproduce_tables(levels=6)
+    return budget.reproduce_tables(levels=6)
 
 
 def _row_ok(row, tol_rel):

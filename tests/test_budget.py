@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dunking import budget, eigen, fem, mesh
 
@@ -59,6 +60,38 @@ def test_phi_upper_bound_supplied_variances(disk4):
                                 var_sigma=0.0, var_eta=0.316)
     expect = (math.sqrt(0.5) + math.sqrt(sc.gamma_over_lambda * 0.316)) ** 2
     assert abs(ub.bound - expect) < 1e-12
+
+
+def test_shape_constants_match_separate_solves(disk4):
+    etas = [fem.eta_variation(disk4, v) for v in fem.ETA_VARIATIONS]
+    sc = budget.shape_constants(disk4, etas)
+    stab = eigen.stability_constants(disk4)
+    assert sc.gamma == mesh.geometry_stats(disk4).gamma
+    assert sc.phi111 == budget.solve_phi(disk4, uniform_fields(disk4)).phi
+    assert sc.stability == stab
+    for kind, phi, ub in zip(fem.ETA_VARIATIONS, sc.phi, sc.bounds):
+        f = fields_with_eta(disk4, kind)
+        assert phi == budget.solve_phi(disk4, f).phi
+        assert ub == budget.phi_upper_bound(disk4, f, stab, sc.phi111)
+
+
+@pytest.fixture(scope="module")
+def level3_meshes():
+    return {s: budget.canonical_mesh(s, 3) for s in budget.SHAPES}
+
+
+@given(shape=st.sampled_from(budget.SHAPES), data=st.data())
+def test_phi_positive_and_below_bound_for_random_eta(level3_meshes, shape,
+                                                     data):
+    m = level3_meshes[shape]
+    eta = data.draw(arrays(float, (m.num_boundary_edges, 2),
+                           elements=st.floats(0.0, 10.0)))
+    assume(fem.boundary_mean(m, eta) > 1e-3)
+    eta = eta / fem.boundary_mean(m, eta)
+    sc = budget.shape_constants(m, [eta])
+    # equality holds for constant eta, where the bound's sqrt-then-square
+    # of phi111 may round one ulp low
+    assert 0.0 < sc.phi[0] <= sc.bounds[0].bound * (1.0 + 1e-12)
 
 
 def test_composite_sigma_variance_layered():

@@ -180,6 +180,27 @@ def test_bad_numeric_value_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--B", "nan", "--B-est", "0.1", "--gamma", "4", "--phi", "1"),
+    ("bounds", "--B", "0.1", "--B-est", "0.1", "--gamma", "inf", "--phi", "1"),
+    ("lcm", "--B", "nan", "--gamma", "4"),
+    ("correlate", "--name", "ranz_marshall", "--Re", "inf", "--Pr", "0.71"),
+])
+def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
+
+
+def test_phi_has_no_coefficient_options(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "phi", "--shape", "disk", "--kappa", "2")
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("shape = disk\nkappa = 1\n")
+    code, _ = run(tmp_path, "phi", "--config", str(cfgfile))
+    assert code == 2
+
+
 def test_nonfinite_biot_is_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "rhe", "--shape", "disk", "--levels", "3",
                     "--B", "nan")

@@ -77,7 +77,8 @@ def test_solve_constrained_recovers_projected_solution(disk4):
     rng = np.random.default_rng(7)
     w = rng.standard_normal(disk4.num_vertices)
     rhs = forms.A0 @ w
-    sol = fem.solve_constrained(forms.A0, forms.c, rhs)
+    op = fem.factor_constrained(forms.A0, forms.c)
+    sol = fem.solve_constrained(op, rhs)
     assert abs(forms.c @ sol.u) < 1e-10
     # solution equals w up to the constant fixed by the constraint
     shift = (forms.c @ w) / forms.c.sum()
@@ -86,8 +87,9 @@ def test_solve_constrained_recovers_projected_solution(disk4):
 
 def test_solve_constrained_incompatible_rhs(disk4):
     forms = fem.assemble_forms(disk4, uniform_fields(disk4))
+    op = fem.factor_constrained(forms.A0, forms.c)
     with pytest.raises(ValueError):
-        fem.solve_constrained(forms.A0, forms.c, forms.c.copy())
+        fem.solve_constrained(op, forms.c.copy())
 
 
 def test_region_fields(cross4):
