@@ -165,18 +165,27 @@ def assemble_forms(mesh: Mesh2D, fields: FieldSet) -> Forms:
 
     ke = (bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :])
     ke *= (fields.kappa / (4.0 * areas))[:, None, None]
+    A0 = _scatter_elements(t, ke, nv)
 
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = me_ref[None, :, :] * (fields.sigma * areas)[:, None, None]
-
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
-    A0 = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
+    M = mass_matrix(mesh, fields.sigma)
     A1 = boundary_mass(mesh, fields.eta)
     c = M @ np.ones(nv)
     return Forms(A0, A1, M, c)
+
+
+def mass_matrix(mesh: Mesh2D, sigma: np.ndarray) -> sp.csr_matrix:
+    """Volume mass matrix with piecewise constant weight sigma (exact)."""
+    areas = mesh.triangle_areas()
+    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    me = me_ref[None, :, :] * (sigma * areas)[:, None, None]
+    return _scatter_elements(mesh.triangles, me, mesh.num_vertices)
+
+
+def _scatter_elements(t: np.ndarray, elem: np.ndarray, nv: int) -> sp.csr_matrix:
+    """Sum the (nt, 3, 3) element matrices into a global CSR matrix."""
+    rows = np.repeat(t, 3, axis=1).ravel()
+    cols = np.tile(t, (1, 3)).ravel()
+    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 
 def boundary_mass(mesh: Mesh2D, eta: np.ndarray) -> sp.csr_matrix:

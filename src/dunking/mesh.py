@@ -66,29 +66,37 @@ class Mesh2D:
 
     def validate(self) -> None:
         """Check mesh consistency; raises ValueError on any defect."""
+        nv = self.num_vertices
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be an (nv, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise ValueError("triangles must be an (nt, 3) array")
-        if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= self.num_vertices:
-            raise ValueError("triangle vertex index out of range")
+        if not np.all(np.isfinite(self.vertices)):
+            bad = int(np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0])
+            raise ValueError(f"vertex {bad} has a non-finite coordinate")
+        for name, arr, k in (("triangles", self.triangles, 3),
+                             ("boundary_edges", self.boundary_edges, 2)):
+            if arr.ndim != 2 or arr.shape[1] != k or not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{name} must be an integer (n, {k}) array")
+            # checked before any edge key is formed: an index >= nv would
+            # alias the key of another edge
+            if arr.min(initial=0) < 0 or arr.max(initial=-1) >= nv:
+                raise ValueError(f"{name} vertex index out of range")
         areas = self.triangle_areas()
-        if np.any(areas <= 0.0):
-            bad = int(np.argmin(areas))
+        if not np.all(areas > 0.0):
+            bad = int(np.flatnonzero(~(areas > 0.0))[0])
             raise ValueError(
                 f"triangle {bad} is degenerate or negatively oriented (area {areas[bad]:g})"
             )
-        # boundary_edges must be exactly the edges incident to a single triangle
-        expected = _extract_boundary_edges(self.triangles)
-        got = {tuple(sorted(e)) for e in self.boundary_edges.tolist()}
-        want = {tuple(sorted(e)) for e in expected.tolist()}
-        if got != want:
+        # boundary_edges must be exactly the edges incident to a single
+        # triangle, each listed once (in either orientation)
+        want = np.sort(_edge_keys(_extract_boundary_edges(self.triangles, nv), nv))
+        got = np.sort(_edge_keys(self.boundary_edges, nv))
+        if not np.array_equal(got, want):
             raise ValueError("boundary_edges do not match the edges incident to one triangle")
         if self.tri_regions.shape != (self.num_triangles,):
             raise ValueError("tri_regions must have one tag per triangle")
         if self.edge_tags.shape != (self.num_boundary_edges,):
             raise ValueError("edge_tags must have one tag per boundary edge")
-        _check_connected(self.triangles, self.num_vertices)
+        _check_connected(self.triangles, nv)
 
     def copy(self) -> "Mesh2D":
         return Mesh2D(
@@ -110,12 +118,28 @@ class GeometryStats:
     centroid: tuple
 
 
-def _extract_boundary_edges(triangles: np.ndarray) -> np.ndarray:
-    edges = np.concatenate(
+def _edge_keys(edges: np.ndarray, nv: int) -> np.ndarray:
+    """One int64 key per undirected edge, min(i, j) * nv + max(i, j).
+
+    For indices in [0, nv) sorting the keys orders edges exactly as a
+    lexicographic sort of the (min, max) rows does.
+    """
+    edges = edges.astype(np.int64, copy=False)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    return lo * nv + hi
+
+
+def _triangle_edges(triangles: np.ndarray) -> np.ndarray:
+    """Directed edges (0,1), (1,2), (2,0) of every triangle, in that block order."""
+    return np.concatenate(
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
     )
-    key = np.sort(edges, axis=1)
-    _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+
+
+def _extract_boundary_edges(triangles: np.ndarray, nv: int) -> np.ndarray:
+    edges = _triangle_edges(triangles)
+    _, inv, counts = np.unique(_edge_keys(edges, nv), return_inverse=True, return_counts=True)
     # keep original orientation of the single-owner edges
     return edges[counts[inv] == 1]
 
@@ -132,7 +156,7 @@ def _check_connected(triangles: np.ndarray, nv: int) -> None:
         raise ValueError(f"mesh is not connected ({ncomp} components)")
 
 
-def _finalize(vertices, triangles, regions, projector=None, edge_tags_from=None) -> Mesh2D:
+def _finalize(vertices, triangles, regions, projector=None) -> Mesh2D:
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     # enforce CCW orientation
@@ -141,7 +165,7 @@ def _finalize(vertices, triangles, regions, projector=None, edge_tags_from=None)
     areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     flip = areas < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
-    bedges = _extract_boundary_edges(triangles)
+    bedges = _extract_boundary_edges(triangles, vertices.shape[0])
     tags = np.zeros(bedges.shape[0], dtype=np.int64)
     mesh = Mesh2D(
         vertices,
@@ -264,15 +288,14 @@ def refine(mesh: Mesh2D, times: int = 1) -> Mesh2D:
 def _refine_once(mesh: Mesh2D) -> Mesh2D:
     p, t = mesh.vertices, mesh.triangles
     nv = p.shape[0]
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=0)
-    key = np.sort(edges, axis=1)
-    uniq, inv = np.unique(key, axis=0, return_inverse=True)
-    mid_ids = nv + np.arange(uniq.shape[0])
-    midpoints = 0.5 * (p[uniq[:, 0]] + p[uniq[:, 1]])
+    ukeys, inv = np.unique(_edge_keys(_triangle_edges(t), nv), return_inverse=True)
+    lo, hi = np.divmod(ukeys, nv)
+    mid_ids = nv + np.arange(ukeys.shape[0])
+    midpoints = 0.5 * (p[lo] + p[hi])
 
     # project midpoints of *boundary* edges onto the curved boundary
-    bnd_set = {tuple(sorted(e)) for e in mesh.boundary_edges.tolist()}
-    is_bnd = np.array([tuple(e) in bnd_set for e in uniq.tolist()])
+    bkeys = _edge_keys(mesh.boundary_edges, nv)
+    is_bnd = np.isin(ukeys, bkeys)
     if mesh.boundary_projector is not None and np.any(is_bnd):
         midpoints[is_bnd] = mesh.boundary_projector(midpoints[is_bnd])
 
@@ -293,24 +316,13 @@ def _refine_once(mesh: Mesh2D) -> Mesh2D:
     newregions = np.tile(mesh.tri_regions, 4)
 
     refined = _finalize(newverts, newtris, newregions, projector=mesh.boundary_projector)
-    # inherit boundary tags: each new boundary edge lies inside a unique old edge
+    # inherit boundary tags: a new boundary edge joins an old vertex to the
+    # midpoint m >= nv of its parent edge, whose key is ukeys[m - nv]
     if np.any(mesh.edge_tags != 0):
-        refined.edge_tags = _inherit_edge_tags(mesh, refined)
+        parent = ukeys[refined.boundary_edges.max(axis=1) - nv]
+        order = np.argsort(bkeys)
+        refined.edge_tags = mesh.edge_tags[order[np.searchsorted(bkeys[order], parent)]]
     return refined
-
-
-def _inherit_edge_tags(old: Mesh2D, new: Mesh2D) -> np.ndarray:
-    # map each new boundary-edge midpoint to the closest old boundary edge
-    tags = np.zeros(new.num_boundary_edges, dtype=np.int64)
-    mids = 0.5 * (new.vertices[new.boundary_edges[:, 0]] + new.vertices[new.boundary_edges[:, 1]])
-    a = old.vertices[old.boundary_edges[:, 0]]
-    b = old.vertices[old.boundary_edges[:, 1]]
-    for k, m in enumerate(mids):
-        d = b - a
-        tpar = np.clip(np.einsum("ij,ij->i", m - a, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
-        proj = a + tpar[:, None] * d
-        tags[k] = old.edge_tags[int(np.argmin(np.linalg.norm(proj - m, axis=1)))]
-    return tags
 
 
 def tag_halfplane_regions(mesh: Mesh2D, axis: int = 0) -> Mesh2D:
@@ -330,8 +342,9 @@ def geometry_stats(mesh: Mesh2D) -> GeometryStats:
     perimeter = float(mesh.edge_lengths().sum())
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
     centroid = tuple((areas @ cent) / area)
-    # diameter: max pairwise distance, attained on the convex hull vertices
-    pts = mesh.vertices
+    # diameter: max pairwise distance, attained on the convex hull vertices,
+    # which are boundary vertices
+    pts = mesh.vertices[np.unique(mesh.boundary_edges)]
     if pts.shape[0] > 16:
         pts = pts[ConvexHull(pts).vertices]
     diff = pts[:, None, :] - pts[None, :, :]

@@ -22,7 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh2D, geometry_stats
-from .fem import FieldSet, assemble_forms, boundary_mass, boundary_mean
+from .fem import FieldSet, assemble_forms, boundary_mass, boundary_mean, mass_matrix
 from .eigen import EigenPair
 
 
@@ -215,8 +215,7 @@ def coefficient_of_variation(solution: TransientSolution, mesh: Mesh2D) -> np.nd
     """
     if solution.snapshots is None or len(solution.snapshots) == 0:
         raise ValueError("solution has no stored snapshots")
-    plain = FieldSet.from_constants(mesh)
-    M1 = assemble_forms(mesh, plain).M
+    M1 = mass_matrix(mesh, np.ones(mesh.num_triangles))
     area = float(mesh.triangle_areas().sum())
     mass = M1 @ np.ones(mesh.num_vertices)
     out = np.empty(len(solution.snapshots))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dunking import mesh
 
@@ -58,6 +59,68 @@ def test_validate_rejects_flipped_triangle(square4):
         bad.validate()
 
 
+def _interior_edge(m):
+    bnd = {tuple(sorted(e)) for e in m.boundary_edges.tolist()}
+    return next(e for e in m.triangles[:, :2].tolist() if tuple(sorted(e)) not in bnd)
+
+
+def _drop_first(m):
+    m.boundary_edges, m.edge_tags = m.boundary_edges[1:], m.edge_tags[1:]
+
+
+def _append_edge(m, edge):
+    m.boundary_edges = np.vstack([m.boundary_edges, [edge]])
+    m.edge_tags = np.append(m.edge_tags, 0)
+
+
+def _alias_first(m):
+    # (lo - 1, hi + nv) has the key (lo - 1) * nv + hi + nv of edge (lo, hi)
+    lo, hi = sorted(m.boundary_edges[0].tolist())
+    m.boundary_edges = m.boundary_edges.copy()
+    m.boundary_edges[0] = (lo - 1, hi + m.num_vertices)
+
+
+def _point_past_last_vertex(m):
+    m.triangles[0, 0] = m.num_vertices
+
+
+DEFECTS = {
+    "missing boundary edge": (_drop_first, "do not match"),
+    "extra interior edge": (lambda m: _append_edge(m, _interior_edge(m)), "do not match"),
+    "duplicated boundary edge": (lambda m: _append_edge(m, m.boundary_edges[0]), "do not match"),
+    "aliased out-of-range edge": (_alias_first, "boundary_edges vertex index out of range"),
+    "negative edge index": (lambda m: _append_edge(m, [-1, 0]), "out of range"),
+    "out-of-range triangle": (_point_past_last_vertex, "triangles vertex index out of range"),
+    "flat boundary_edges": (lambda m: setattr(m, "boundary_edges", m.boundary_edges.ravel()),
+                            r"integer \(n, 2\) array"),
+    "three-column boundary_edges": (
+        lambda m: setattr(m, "boundary_edges", np.repeat(m.boundary_edges, [1, 2], axis=1)),
+        r"integer \(n, 2\) array"),
+    "float triangles": (lambda m: setattr(m, "triangles", m.triangles.astype(float)),
+                        r"integer \(n, 3\) array"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_validate_rejects_defect(square4, defect):
+    breaker, message = DEFECTS[defect]
+    bad = square4.copy()
+    breaker(bad)
+    with pytest.raises(ValueError, match=message):
+        bad.validate()
+
+
+@pytest.mark.parametrize("first_vertex", ["nan 0", "0 inf", "-inf -inf"])
+def test_read_mesh_rejects_nonfinite_vertex(tmp_path, first_vertex):
+    p = tmp_path / "m.txt"
+    mesh.write_mesh(mesh.generate_canonical("square", 2), p)
+    lines = p.read_text().splitlines()
+    lines[1] = first_vertex
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="vertex 0 has a non-finite coordinate"):
+        mesh.read_mesh(p)
+
+
 def test_unknown_shape():
     with pytest.raises(ValueError):
         mesh.generate_canonical("dodecahedron", 3)
@@ -90,3 +153,116 @@ def test_boundary_edges_form_closed_loops(disk4, cross4):
                              minlength=m.num_vertices)
         bnd = counts[counts > 0]
         assert np.all(bnd == 2)
+
+
+# --------------------------------------------- row-wise reference of the edge keys
+#
+# The bookkeeping as it was before integer edge keys: unique rows of the
+# sorted (i, j) pairs, and a Python set of boundary edges.  The key-based
+# code must reproduce it bit for bit, whatever the vertex labels.
+
+def _ref_extract_boundary_edges(triangles):
+    edges = np.concatenate(
+        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
+    )
+    _, inv, counts = np.unique(np.sort(edges, axis=1), axis=0,
+                               return_inverse=True, return_counts=True)
+    return edges[counts[inv.ravel()] == 1]
+
+
+def _ref_refine_once(m):
+    p, t = m.vertices, m.triangles
+    nv, nt = p.shape[0], t.shape[0]
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=0)
+    uniq, inv = np.unique(np.sort(edges, axis=1), axis=0, return_inverse=True)
+    inv = inv.ravel()
+    mid_ids = nv + np.arange(uniq.shape[0])
+    midpoints = 0.5 * (p[uniq[:, 0]] + p[uniq[:, 1]])
+    bnd_set = {tuple(sorted(e)) for e in m.boundary_edges.tolist()}
+    is_bnd = np.array([tuple(e) in bnd_set for e in uniq.tolist()])
+    if m.boundary_projector is not None and np.any(is_bnd):
+        midpoints[is_bnd] = m.boundary_projector(midpoints[is_bnd])
+    verts = np.vstack([p, midpoints])
+    m01, m12, m20 = (mid_ids[inv[k * nt:(k + 1) * nt]] for k in range(3))
+    tris = np.concatenate([
+        np.column_stack([t[:, 0], m01, m20]),
+        np.column_stack([t[:, 1], m12, m01]),
+        np.column_stack([t[:, 2], m20, m12]),
+        np.column_stack([m01, m12, m20]),
+    ])
+    d1 = verts[tris[:, 1]] - verts[tris[:, 0]]
+    d2 = verts[tris[:, 2]] - verts[tris[:, 0]]
+    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return verts, tris, _ref_extract_boundary_edges(tris)
+
+
+def _ref_inherit_edge_tags(old, new):
+    # nearest old boundary edge to each new boundary-edge midpoint
+    mids = new.vertices[new.boundary_edges].mean(axis=1)
+    a = old.vertices[old.boundary_edges[:, 0]]
+    d = old.vertices[old.boundary_edges[:, 1]] - a
+    tags = np.empty(new.num_boundary_edges, dtype=np.int64)
+    for k, mid in enumerate(mids):
+        tpar = np.clip(np.einsum("ij,ij->i", mid - a, d) / np.einsum("ij,ij->i", d, d), 0, 1)
+        tags[k] = old.edge_tags[np.argmin(np.linalg.norm(a + tpar[:, None] * d - mid, axis=1))]
+    return tags
+
+
+def _relabelled(m, seed):
+    perm = np.random.default_rng(seed).permutation(m.num_vertices)
+    verts = np.empty_like(m.vertices)
+    verts[perm] = m.vertices
+    tris = perm[m.triangles]
+    bedges = _ref_extract_boundary_edges(tris)
+    out = mesh.Mesh2D(verts, tris, m.tri_regions.copy(), bedges,
+                      np.zeros(len(bedges), dtype=np.int64), m.boundary_projector)
+    out.validate()
+    return out
+
+
+@given(st.sampled_from(mesh.CANONICAL_SHAPES), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_edge_keys_match_rowwise_reference(shape, level, seed):
+    m = _relabelled(mesh.generate_canonical(shape, level), seed)
+    assert np.array_equal(mesh._extract_boundary_edges(m.triangles, m.num_vertices),
+                          m.boundary_edges)
+    fine = mesh.refine(m)
+    verts, tris, bedges = _ref_refine_once(m)
+    assert np.array_equal(fine.vertices, verts)
+    assert np.array_equal(fine.triangles, tris)
+    assert np.array_equal(fine.boundary_edges, bedges)
+
+
+def _containing_edge_tags(base, m):
+    """Tag of the straight base edge that contains each boundary edge of m."""
+    a = base.vertices[base.boundary_edges[:, 0]]
+    d = base.vertices[base.boundary_edges[:, 1]] - a
+    tags = []
+    for e in m.boundary_edges:
+        r = m.vertices[e][:, None, :] - a[None]  # (2, nb_base, 2)
+        cross = np.abs(r[..., 0] * d[:, 1] - r[..., 1] * d[:, 0]).max(axis=0)
+        tpar = np.einsum("kij,ij->ki", r, d) / np.einsum("ij,ij->i", d, d)
+        inside = (cross < 1e-12) & np.all((tpar > -1e-12) & (tpar < 1 + 1e-12), axis=0)
+        assert inside.sum() == 1
+        tags.append(int(base.edge_tags[inside.argmax()]))
+    return np.array(tags)
+
+
+def test_refinement_inherits_parent_edge_tags(tmp_path):
+    base = mesh.generate_canonical("square", 1)
+    base.edge_tags = np.arange(1, base.num_boundary_edges + 1, dtype=np.int64)
+    once = mesh.refine(base)
+    p = tmp_path / "once.txt"
+    mesh.write_mesh(once, p)
+    back = mesh.read_mesh(p)
+    assert np.array_equal(back.edge_tags, once.edge_tags)
+    for twice in (mesh.refine(base, 2), mesh.refine(back)):
+        assert np.array_equal(twice.edge_tags, _containing_edge_tags(base, twice))
+        assert np.array_equal(twice.edge_tags, _ref_inherit_edge_tags(once, twice))
+
+
+def test_curved_refinement_inherits_tags_like_nearest_edge():
+    disk = mesh.generate_canonical("disk", 2)
+    disk.edge_tags = np.random.default_rng(7).integers(1, 5, disk.num_boundary_edges)
+    fine = mesh.refine(disk)
+    assert np.array_equal(fine.edge_tags, _ref_inherit_edge_tags(disk, fine))
