@@ -103,6 +103,19 @@ class PhiUpperBound:
     bound: float
 
 
+def phi_bound(phi111: float, gamma_sq_over_mu: float, var_sigma: float,
+              gamma_over_lambda: float, var_eta: float) -> float:
+    """(sqrt(phi111) + sqrt(gamma^2/mu * var_sigma)
+    + sqrt(gamma/Lambda * var_eta))^2, the computable bound on phi."""
+    if not (var_sigma >= 0 and var_eta >= 0):
+        raise ValueError("variances must be nonnegative")
+    if not (phi111 >= 0 and gamma_sq_over_mu >= 0 and gamma_over_lambda >= 0):
+        raise ValueError("phi111, gamma^2/mu and gamma/Lambda must be "
+                         "nonnegative")
+    return (math.sqrt(phi111) + math.sqrt(gamma_sq_over_mu * var_sigma)
+            + math.sqrt(gamma_over_lambda * var_eta)) ** 2
+
+
 def phi_upper_bound(mesh: Mesh2D, fields: FieldSet,
                     stability: StabilityConstants, phi111: float,
                     var_sigma: float | None = None,
@@ -117,14 +130,12 @@ def phi_upper_bound(mesh: Mesh2D, fields: FieldSet,
         var_sigma = volume_variance(mesh, fields.sigma)
     if var_eta is None:
         var_eta = boundary_variance(mesh, fields.eta)
-    if var_sigma < 0 or var_eta < 0:
-        raise ValueError("variances must be nonnegative")
-    ds = stability.gamma_sq_over_mu * var_sigma
-    de = stability.gamma_over_lambda * var_eta
-    bound = (np.sqrt(phi111) + np.sqrt(ds) + np.sqrt(de)) ** 2
-    return PhiUpperBound(phi111=phi111, delta_sigma=ds, delta_eta=de,
-                         var_sigma=var_sigma, var_eta=var_eta,
-                         bound=float(bound))
+    bound = phi_bound(phi111, stability.gamma_sq_over_mu, var_sigma,
+                      stability.gamma_over_lambda, var_eta)
+    return PhiUpperBound(phi111=phi111,
+                         delta_sigma=stability.gamma_sq_over_mu * var_sigma,
+                         delta_eta=stability.gamma_over_lambda * var_eta,
+                         var_sigma=var_sigma, var_eta=var_eta, bound=bound)
 
 
 def composite_sigma_variance(fractions, rho_c) -> float:
@@ -175,7 +186,8 @@ def shape_constants(mesh: Mesh2D, etas) -> ShapeConstants:
         phis.append(_phi(mesh, op, gs, eta)[0])
         bounds.append(phi_upper_bound(mesh, uniform.replace(eta=eta), stab,
                                       phi111))
-    ub_est = (math.sqrt(phi111) + math.sqrt(stab.gamma_over_lambda)) ** 2
+    ub_est = phi_bound(phi111, stab.gamma_sq_over_mu, 0.0,
+                       stab.gamma_over_lambda, 1.0)
     return ShapeConstants(gamma=gs.gamma, phi111=phi111, stability=stab,
                           phi=phis, bounds=bounds, phi_ub_est=ub_est)
 

@@ -223,16 +223,13 @@ def cmd_bounds(cfg):
                                      phi_provenance="supplied")
     rows = budget_mod.budget_report_rows(bud)
     if cfg["phi111"] is not None:
-        term = math.sqrt(cfg["phi111"])
-        if cfg["var_sigma"]:
-            if cfg["gamma_sq_over_mu"] is None:
-                raise ConfigError("--gamma-sq-over-mu required with --var-sigma")
-            term += math.sqrt(cfg["gamma_sq_over_mu"] * cfg["var_sigma"])
-        if cfg["var_eta"]:
-            if cfg["gamma_over_lambda"] is None:
-                raise ConfigError("--gamma-over-lambda required with --var-eta")
-            term += math.sqrt(cfg["gamma_over_lambda"] * cfg["var_eta"])
-        phi_ub = term ** 2
+        if cfg["var_sigma"] and cfg["gamma_sq_over_mu"] is None:
+            raise ConfigError("--gamma-sq-over-mu required with --var-sigma")
+        if cfg["var_eta"] and cfg["gamma_over_lambda"] is None:
+            raise ConfigError("--gamma-over-lambda required with --var-eta")
+        phi_ub = budget_mod.phi_bound(
+            cfg["phi111"], cfg["gamma_sq_over_mu"] or 0.0, cfg["var_sigma"],
+            cfg["gamma_over_lambda"] or 0.0, cfg["var_eta"])
         bud_ub = budget_mod.assemble_budget(cfg["B"], cfg["B_est"],
                                             cfg["gamma"], phi_ub,
                                             temporal_inputs=temporal,
@@ -556,25 +553,18 @@ def main(argv=None) -> int:
     runner, opts, _ = COMMANDS[args.command]
     try:
         cfg = resolve_options(args, opts)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         write_manifest(cfg, args.command)
         runner(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    # numeric first: np.linalg.LinAlgError is a ValueError
+    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ls_mod.LearningError, FloatingPointError, ArithmeticError,
-            np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -10,20 +10,16 @@ Two kinds of solves are needed:
   the first Steklov-type eigenvalue ``Lambda`` of the stiffness form
   against the boundary mass.
 
-The constrained problems are solved with shift-0 inverse iteration on the
-bordered (saddle-point) factorization that ``fem.factor_constrained``
-builds, re-imposing the mean constraint at every step, which keeps the
-iteration well defined even though the stiffness matrix alone is singular.
-The caller factors once; mu, Lambda and every phi solve on the same mesh
-share that factor.  A small block with Rayleigh-Ritz extraction is
-iterated instead of a single vector: the first eigenvalues of the
-symmetric shapes come in symmetry-degenerate pairs that the mesh splits
-only at discretization level, and a block covers such clusters where
-single-vector iteration stagnates.  The boundary-mass right-hand side is
-rank deficient (interior rows vanish); iteration vectors are
-orthonormalized in the boundary seminorm and the Rayleigh quotients are
-monitored directly, so the kernel directions the boundary mass annihilates
-simply die out of the iteration.
+Both go through one ARPACK call, ``scipy.sparse.linalg.eigsh`` in
+shift-invert mode.  Unconstrained problems shift slightly below the PSD
+spectrum and let scipy factor ``A - sigma*Mrhs``.  Mean-constrained
+problems shift by 0 and supply the inverse themselves: the bordered
+(saddle-point) factor that ``fem.factor_constrained`` builds maps x to the
+mean-zero u with ``A u + m c = x``, which is well defined although the
+stiffness alone is singular.  The caller factors once; mu, Lambda and
+every phi solve on the same mesh share that factor.  The operator
+annihilates the constants and, for the boundary mass, the interior nodes,
+so the Lanczos basis is capped at the rank of the remaining spectrum.
 """
 
 from __future__ import annotations
@@ -64,106 +60,78 @@ def _rank_rows(Mrhs: sp.spmatrix) -> int:
 
 # ---------------------------------------------------------------- solvers
 
+RES_TOL = 1e-8  # relative residual bound; also rounds the Neumann zero mode
+
+
 def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
-                     constraint: ConstrainedOperator | None = None,
-                     tol: float = 1e-10, res_tol: float = 1e-8,
-                     max_iter: int = 500) -> list[EigenPair]:
+                     constraint: ConstrainedOperator | None = None
+                     ) -> list[EigenPair]:
     """k smallest eigenpairs of ``A v = lambda Mrhs v``.
 
     With ``constraint`` given (A bordered by a weight vector c and factored
     by ``fem.factor_constrained``), the problem is restricted to the
-    subspace ``c . v = 0`` and the reported residual is measured modulo the
-    constraint multiplier.  Returned vectors are orthonormal in the Mrhs
-    inner product (a seminorm when Mrhs is singular) and pairs are sorted by
-    nondecreasing value.
+    subspace ``c . v = 0`` and each pair's residual, measured modulo the
+    constraint multiplier, must stay below ``RES_TOL``.  Returned vectors
+    are normalized in the Mrhs inner product (a seminorm when Mrhs is
+    singular) and pairs are sorted by nondecreasing value.
     """
     n = A.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
-
+    rng = np.random.default_rng(20260815)
     if constraint is None:
         if k >= n:
             raise ValueError(f"k={k} exceeds the available spectrum (n={n})")
         # shift below the PSD spectrum so the factored matrix is definite
         # even for the pure-Neumann case (lambda_1 = 0)
         scale = A.diagonal().sum() / max(Mrhs.diagonal().sum(), np.finfo(float).tiny)
-        sigma = -1e-3 * max(scale, 1.0)
-        rng = np.random.default_rng(20260815)
-        v0 = rng.standard_normal(n)
-        vals, vecs = spla.eigsh(A.tocsc(), k=k, M=Mrhs.tocsc(), sigma=sigma,
-                                which="LM", v0=v0)
-        order = np.argsort(vals)
-        pairs = []
-        for idx in order:
-            v = vecs[:, idx]
-            nrm = float(v @ (Mrhs @ v))
-            v = v / np.sqrt(nrm)
-            lam = float(vals[idx])
-            if lam < 0 and abs(lam) < res_tol * max(1.0, abs(vals).max()):
+        shift = dict(sigma=-1e-3 * max(scale, 1.0), v0=rng.standard_normal(n))
+        A = A.tocsc()
+        Mrhs = Mrhs.tocsc()
+    else:
+        if constraint.A is not A:
+            raise ValueError("constraint was factored from another matrix")
+        avail = min(n, _rank_rows(Mrhs)) - 1
+        if k >= avail:
+            raise ValueError(
+                f"k={k} exceeds the available constrained spectrum ({avail})")
+        lu = constraint.lu
+
+        def solve(x):
+            return lu.solve(np.append(x, 0.0))[:n]
+
+        # ARPACK needs k < ncv <= rank; scipy's default ncv, max(2k+1, 20),
+        # exceeds the rank of coarse boundary masses
+        shift = dict(sigma=0.0, v0=solve(Mrhs @ rng.standard_normal(n)),
+                     OPinv=spla.LinearOperator((n, n), matvec=solve,
+                                               dtype=float),
+                     ncv=min(avail, max(2 * k + 1, 20)))
+    vals, vecs = spla.eigsh(A, k=k, M=Mrhs, which="LM", **shift)
+    pairs = []
+    for idx in np.argsort(vals):
+        v = vecs[:, idx]
+        v = v / np.sqrt(float(v @ (Mrhs @ v)))
+        lam = float(vals[idx])
+        if constraint is None:
+            if lam < 0 and abs(lam) < RES_TOL * max(1.0, abs(vals).max()):
                 lam = 0.0  # Neumann zero mode, rounded
-            pairs.append(EigenPair(lam, v))
-        return pairs
+        else:
+            _check_residual(A, Mrhs, constraint.c, lam, v)
+        pairs.append(EigenPair(lam, v))
+    return pairs
 
-    if constraint.A is not A:
-        raise ValueError("constraint was factored from another matrix")
-    c, lu = constraint.c, constraint.lu
-    avail = min(n, _rank_rows(Mrhs)) - 1
-    if k > avail:
-        raise ValueError(
-            f"k={k} exceeds the available constrained spectrum ({avail})")
 
-    rng = np.random.default_rng(20260815)
-    M = sp.csr_matrix(Mrhs)
-    A = sp.csr_matrix(A)
-    b = min(avail, k + 2)  # buffer columns cover degenerate clusters
-
-    def solve_block(R):
-        rhs = np.vstack([R, np.zeros((1, R.shape[1]))])
-        return lu.solve(rhs)[:-1]
-
-    def orthonormalize(W):
-        # modified Gram-Schmidt in the (semi)norm induced by M; defective
-        # columns are replaced by fresh solved randoms
-        cols = []
-        for j in range(W.shape[1]):
-            w = W[:, j]
-            for attempt in range(3):
-                for q in cols:
-                    w = w - q * float(q @ (M @ w))
-                nrm = float(w @ (M @ w))
-                if nrm > 1e-28 * max(1.0, float(M.diagonal().max())):
-                    cols.append(w / np.sqrt(nrm))
-                    break
-                w = solve_block((M @ rng.standard_normal(n))[:, None])[:, 0]
-        return np.column_stack(cols)
-
-    V = solve_block(M @ rng.standard_normal((n, b)))
-    vals_old = np.full(k, np.inf)
-    res = np.full(k, np.nan)
-    for _ in range(max_iter):
-        V = orthonormalize(V)
-        H = V.T @ (A @ V)
-        theta, Y = np.linalg.eigh(0.5 * (H + H.T))
-        X = V @ Y
-        ok = theta.shape[0] >= k
-        for i in range(min(k, theta.shape[0])):
-            v = X[:, i]
-            Av = A @ v
-            Mv = M @ v
-            r = Av - theta[i] * Mv
-            r -= c * (c @ r) / (c @ c)  # constraint multiplier direction
-            scale = np.linalg.norm(Av) + abs(theta[i]) * np.linalg.norm(Mv)
-            res[i] = np.linalg.norm(r) / max(scale, np.finfo(float).tiny)
-            if not (res[i] <= res_tol
-                    and abs(theta[i] - vals_old[i]) <= tol * max(1.0, abs(theta[i]))):
-                ok = False
-        if ok:
-            return [EigenPair(float(theta[i]), X[:, i]) for i in range(k)]
-        vals_old[:min(k, theta.shape[0])] = theta[:min(k, theta.shape[0])]
-        V = solve_block(M @ X)
-    raise RuntimeError(
-        f"inverse iteration failed to converge after {max_iter} iterations "
-        f"(values {vals_old[:k]}, relative residuals {res})")
+def _check_residual(A, Mrhs, c, lam, v) -> None:
+    Av = A @ v
+    Mv = Mrhs @ v
+    r = Av - lam * Mv
+    r -= c * (c @ r) / (c @ c)  # constraint multiplier direction
+    scale = np.linalg.norm(Av) + abs(lam) * np.linalg.norm(Mv)
+    res = np.linalg.norm(r) / max(scale, np.finfo(float).tiny)
+    if not res <= RES_TOL:
+        raise RuntimeError(
+            f"eigenpair lambda={lam:.6g} has relative residual {res:.3e} "
+            f"above {RES_TOL:g}")
 
 
 def constrained_stability(op: ConstrainedOperator, M: sp.spmatrix,

@@ -26,8 +26,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh2D, geometry_stats
+from .series import piecewise_linear_mean, piecewise_linear_variance
 
 ETA_VARIATIONS = ("constant", "linear", "sinusoidal", "step")
+SOLVE_TOL = 1e-10   # relative residual of a constrained solve
+COMPAT_TOL = 1e-8   # |1.rhs| / ||rhs|| accepted as compatible
 
 
 @dataclasses.dataclass
@@ -114,17 +117,15 @@ def eta_variation(mesh: Mesh2D, kind: str, normalize: bool = True) -> np.ndarray
 
 def boundary_mean(mesh: Mesh2D, eta: np.ndarray) -> float:
     """Perimeter-weighted mean of an edgewise-linear boundary field (exact)."""
-    lens = mesh.edge_lengths()
-    per = lens.sum()
-    return float((lens * eta.mean(axis=1)).sum() / per)
+    return piecewise_linear_mean(mesh.edge_lengths(), eta[:, 0], eta[:, 1])
 
 
 def boundary_variance(mesh: Mesh2D, eta: np.ndarray) -> float:
     """Perimeter mean of (eta/mean - 1)^2, exact for edgewise-linear eta."""
-    g = eta / boundary_mean(mesh, eta) - 1.0
-    a, b = g[:, 0], g[:, 1]
     lens = mesh.edge_lengths()
-    return float((lens * (a * a + a * b + b * b) / 3.0).sum() / lens.sum())
+    a, b = eta[:, 0], eta[:, 1]
+    return piecewise_linear_variance(lens, a, b,
+                                     piecewise_linear_mean(lens, a, b))
 
 
 def volume_mean(mesh: Mesh2D, field: np.ndarray) -> float:
@@ -223,7 +224,7 @@ def factor_constrained(A: sp.spmatrix, c: np.ndarray) -> ConstrainedOperator:
     """Factor the bordered matrix [[A, c], [c^T, 0]] once.
 
     Every mean-constrained solve on one operator (each phi right-hand side,
-    every inverse-iteration step of the stability eigensolves) reuses the
+    every shift-invert step of the stability eigensolves) reuses the
     factor.  A is symmetric with the constant vector in (or near) its
     kernel, so the bordered system is symmetric indefinite.
     """
@@ -242,13 +243,13 @@ class ConstrainedSolution:
     residual: float
 
 
-def solve_constrained(op: ConstrainedOperator, rhs: np.ndarray,
-                      tol: float = 1e-10, compat_tol: float = 1e-8) -> ConstrainedSolution:
+def solve_constrained(op: ConstrainedOperator, rhs: np.ndarray) -> ConstrainedSolution:
     """Solve A u + multiplier * c = rhs subject to c . u = 0.
 
     A right-hand side with a nonzero component along the constants is
     incompatible and rejected: |1 . rhs| must not exceed
-    compat_tol * ||rhs||.
+    COMPAT_TOL * ||rhs||.  A relative residual above SOLVE_TOL is a
+    numeric failure.
     """
     A, c = op.A, op.c
     n = A.shape[0]
@@ -257,15 +258,15 @@ def solve_constrained(op: ConstrainedOperator, rhs: np.ndarray,
     if nrm == 0.0:
         return ConstrainedSolution(np.zeros(n), 0.0, 0.0)
     ones_dot = float(np.abs(rhs.sum()))
-    if ones_dot > compat_tol * nrm:
+    if ones_dot > COMPAT_TOL * nrm:
         raise ValueError(
             f"incompatible right-hand side: |1.rhs| = {ones_dot:.3e} exceeds "
-            f"{compat_tol:g} * ||rhs|| = {compat_tol * nrm:.3e}"
+            f"{COMPAT_TOL:g} * ||rhs|| = {COMPAT_TOL * nrm:.3e}"
         )
     sol = op.lu.solve(np.concatenate([rhs, [0.0]]))
     u, mult = sol[:n], float(sol[n])
     res = np.linalg.norm(A @ u + mult * c - rhs) / nrm
     res = max(res, abs(float(c @ u)) / (np.linalg.norm(c) * max(np.linalg.norm(u), 1e-300)))
-    if res > tol:
-        raise RuntimeError(f"constrained solve residual {res:.3e} exceeds tol {tol:g}")
+    if res > SOLVE_TOL:
+        raise RuntimeError(f"constrained solve residual {res:.3e} exceeds tol {SOLVE_TOL:g}")
     return ConstrainedSolution(u, mult, res)

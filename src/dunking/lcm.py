@@ -53,6 +53,8 @@ def lcm_evaluate(model: LumpedModel, t):
     """exp(-B*gamma*t); with dimensional inputs, t is dimensional time and
     the dimensional temperature ratio exp(-t/tau_dim) is returned."""
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("time must be finite")
     if np.any(t < 0):
         raise ValueError("negative time")
     if model.has_dimensional:

@@ -34,8 +34,8 @@ class NuSample:
     Pr: float
 
     def __post_init__(self):
-        if self.Re <= 0 or self.Nu <= 0 or self.Pr <= 0:
-            raise ValueError("Re, Nu, Pr must all be positive")
+        if not all(0 < v < math.inf for v in (self.Re, self.Nu, self.Pr)):
+            raise ValueError("Re, Nu, Pr must all be finite and positive")
 
 
 def _objective(log_q, corr, sample):
@@ -237,6 +237,10 @@ def fit_spheroid(points) -> SpheroidFit:
         raise ValueError("expected an (n, 3) point array")
     if len(X) < 10:
         raise ValueError("need at least 10 points")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} has a non-finite coordinate: "
+                         f"{X[bad[0]].tolist()}")
     X = X - X.mean(axis=0)
     w, V = np.linalg.eigh(X.T @ X / len(X))
     if w[0] < 1e-10 * max(w[2], 1e-300):
@@ -282,8 +286,10 @@ def sample_spheroid_surface(a: float, b: float, n: int = 500,
     |cof(T) n| = b sqrt(b^2 n_x^2 + a^2 (1 - n_x^2)).  The cloud is rotated
     by theta_deg about the z axis (angle of attack).
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("semi-axes must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError("semi-axes must be finite and positive")
+    if not math.isfinite(theta_deg):
+        raise ValueError("angle of attack must be finite")
     rng = np.random.default_rng(seed)
     wmax = b * max(a, b)
     pts = []
@@ -311,8 +317,8 @@ def sample_sphere_surface(n: int = 500, seed=None) -> np.ndarray:
 def sample_cuboid_surface(lx: float, ly: float, lz: float, n: int = 500,
                           seed=None) -> np.ndarray:
     """Uniform-area sample of the box surface, stratified by face."""
-    if min(lx, ly, lz) <= 0:
-        raise ValueError("edge lengths must be positive")
+    if not all(0 < v < math.inf for v in (lx, ly, lz)):
+        raise ValueError("edge lengths must be finite and positive")
     rng = np.random.default_rng(seed)
     dims = np.array([lx, ly, lz])
     areas = np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])

@@ -32,6 +32,8 @@ class NusseltSeries:
         self.nu_avg = np.asarray(self.nu_avg, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.nu_avg.shape:
             raise ValueError("times and nu_avg must be matching 1D arrays")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("times contains non-finite values")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(self.nu_avg)):
@@ -56,7 +58,10 @@ def read_series(path, **metadata) -> NusseltSeries:
             if line.lower().startswith("t,"):
                 continue
             t_s, nu_s = line.split(",")[:2]
-            rows.append((float(t_s), float(nu_s)))
+            t = float(t_s)
+            if not math.isfinite(t):
+                raise ValueError(f"{path}: non-finite time stamp {t_s.strip()!r}")
+            rows.append((t, float(nu_s)))
     dedup = {}
     for t, nu in rows:
         if t in dedup:
@@ -224,6 +229,20 @@ def _segments(coords, values, periodic, period):
     return h, a, b, period
 
 
+def piecewise_linear_mean(h, a, b) -> float:
+    """Length-weighted mean of a function linear on each segment, exact;
+    segment i has length h[i] and end values a[i], b[i]."""
+    return float((h * (a + b) / 2.0).sum() / h.sum())
+
+
+def piecewise_linear_variance(h, a, b, mean: float) -> float:
+    """Length-weighted mean of (f/mean - 1)^2 for the same f, exact."""
+    ea = a / mean - 1.0
+    eb = b / mean - 1.0
+    # exact integral of the squared linear interpolant on each segment
+    return float((h * (ea * ea + ea * eb + eb * eb) / 3.0).sum() / h.sum())
+
+
 def eta_profile_stats(coords, values, periodic: bool = False,
                       period: float | None = None) -> EtaProfile:
     """Normalize a boundary heat-transfer profile to mean 1 and compute
@@ -241,16 +260,12 @@ def eta_profile_stats(coords, values, periodic: bool = False,
     if np.any(values < 0):
         raise ValueError("profile values must be nonnegative")
     h, a, b, period = _segments(coords, values, periodic, period)
-    P = h.sum()
-    if P <= 0:
+    if h.sum() <= 0:
         raise ValueError("profile has zero total length")
-    mean = float((h * (a + b) / 2.0).sum() / P)
+    mean = piecewise_linear_mean(h, a, b)
     if mean <= 0:
         raise ValueError("profile mean must be positive")
-    ea = a / mean - 1.0
-    eb = b / mean - 1.0
-    # exact integral of the squared linear interpolant on each segment
-    var = float((h * (ea * ea + ea * eb + eb * eb) / 3.0).sum() / P)
+    var = piecewise_linear_variance(h, a, b, mean)
     return EtaProfile(coords=coords, eta=values / mean, variance=var,
                       periodic=periodic, period=period if periodic else None)
 

@@ -1,8 +1,9 @@
 """Command-line driver: option handling, artifacts, exit codes."""
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from dunking import cli
+from dunking import cli, eigen
 from dunking import correlations as corr
 
 
@@ -185,10 +186,57 @@ def test_bad_numeric_value_is_config_error(tmp_path):
     ("bounds", "--B", "0.1", "--B-est", "0.1", "--gamma", "inf", "--phi", "1"),
     ("lcm", "--B", "nan", "--gamma", "4"),
     ("correlate", "--name", "ranz_marshall", "--Re", "inf", "--Pr", "0.71"),
+    ("fit-shape", "--generate", "spheroid", "--a", "nan", "--b", "1"),
+    ("fit-shape", "--generate", "cuboid", "--lx", "inf"),
+    ("learn-q", "--correlation", "ranz_marshall", "--Re", "100", "--Nu",
+     "nan", "--Pr", "0.71"),
+    ("lcm", "--B", "0.05", "--gamma", "2", "--t-f", "nan"),
 ])
 def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
     code, _ = run(tmp_path, *argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("command,flag,text,message", [
+    ("steady-state", "--series",
+     "# Re = 100\n# Pr = 0.71\n# r1 = 0.5\n# r2 = 2.0\nt,nu\n"
+     "0,7.25\nnan,7.25\n1,7.25\n", "non-finite time stamp"),
+    ("fit-shape", "--points",
+     "x,y,z\n" + "".join(f"{np.cos(k)},{np.sin(k)},{0.1 * k}\n"
+                         for k in range(11)) + "1,nan,0\n",
+     "point 11 has a non-finite coordinate"),
+], ids=["series-nan-time", "points-nan-coordinate"])
+def test_nonfinite_file_inputs_are_config_errors(tmp_path, capsys, command,
+                                                 flag, text, message):
+    src = tmp_path / "input.csv"
+    src.write_text(text)
+    code, _ = run(tmp_path, command, flag, str(src))
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_variance_in_bounds_is_named(tmp_path, capsys):
+    code, _ = run(tmp_path, "bounds", "--B", "0.05", "--B-est", "0.05",
+                  "--gamma", "4", "--phi", "1", "--phi111", "0.5",
+                  "--gamma-over-lambda", "2", "--var-eta", "-1")
+    assert code == 2
+    assert "variances must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [
+    np.linalg.LinAlgError("singular pencil"),
+    ArpackNoConvergence("ARPACK did not converge", np.empty(0),
+                        np.empty((0, 0))),
+])
+def test_eigensolver_failure_is_numeric_error(tmp_path, monkeypatch, capsys,
+                                              exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(eigen.spla, "eigsh", fail)
+    code, _ = run(tmp_path, "phi", "--shape", "disk", "--levels", "2")
+    assert code == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_phi_has_no_coefficient_options(tmp_path):

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from scipy.optimize import brentq
 from scipy.special import jvp
 
-from dunking import eigen, fem, mesh
+from dunking import budget, eigen, fem, mesh
 
 from conftest import uniform_fields
 
@@ -91,3 +91,50 @@ def test_more_pairs_than_rank_rejected():
     forms = fem.assemble_forms(m, uniform_fields(m))
     with pytest.raises(ValueError):
         eigen.generalized_eigs(forms.A0, forms.M, forms.M.shape[0] + 5)
+
+
+def _constrained_dense(forms, Mrhs, k):
+    # the pencil restricted to an orthonormal basis Q of c-perp; there A0 is
+    # definite, so the singular boundary mass is taken as the inverse pencil
+    Q = sla.null_space(forms.c[None, :])
+    A = Q.T @ forms.A0.toarray() @ Q
+    B = Q.T @ Mrhs.toarray() @ Q
+    theta = sla.eigh(B, A, eigvals_only=True)
+    return np.sort(1.0 / theta[::-1][:k])
+
+
+@pytest.mark.parametrize("shape", ["square", "cross"])
+@pytest.mark.parametrize("rhs", ["M", "A1"])
+def test_constrained_eigs_match_dense_on_c_perp(shape, rhs):
+    m = budget.canonical_mesh(shape, 3)
+    forms = fem.assemble_forms(m, uniform_fields(m))
+    op = fem.factor_constrained(forms.A0, forms.c)
+    Mrhs = getattr(forms, rhs)
+    pairs = eigen.generalized_eigs(forms.A0, Mrhs, 3, constraint=op)
+    got = np.array([p.value for p in pairs])
+    assert np.allclose(got, _constrained_dense(forms, Mrhs, 3), rtol=1e-10,
+                       atol=0.0)
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+@pytest.mark.parametrize("shape", budget.SHAPES)
+def test_constrained_first_pair_on_coarse_meshes(shape, levels):
+    # coarse boundary masses leave fewer nonzero modes than ARPACK's
+    # default Lanczos basis; the basis is capped at that count
+    m = budget.canonical_mesh(shape, levels)
+    forms = fem.assemble_forms(m, uniform_fields(m))
+    op = fem.factor_constrained(forms.A0, forms.c)
+    for Mrhs in (forms.M, forms.A1):
+        pair, = eigen.generalized_eigs(forms.A0, Mrhs, 1, constraint=op)
+        assert pair.value > 0
+        assert abs(forms.c @ pair.vector) < 1e-8
+
+
+def test_constrained_k_at_available_spectrum_rejected():
+    m = mesh.generate_canonical("disk", 1)
+    forms = fem.assemble_forms(m, uniform_fields(m))
+    op = fem.factor_constrained(forms.A0, forms.c)
+    avail = min(forms.n, m.num_boundary_edges) - 1
+    with pytest.raises(ValueError, match="constrained spectrum"):
+        eigen.generalized_eigs(forms.A0, forms.A1, avail, constraint=op)
+    eigen.generalized_eigs(forms.A0, forms.A1, avail - 1, constraint=op)
