@@ -1,8 +1,8 @@
 """Empirical Nusselt correlations, shape length scales, and transforms.
 
 Registry of four standard forced-convection correlations with their validity
-ranges, the four length-scale functions over simple convex bodies or point
-clouds, the Reynolds/Nusselt transforms between two length scales, and the
+ranges, the four length-scale functions over simple convex bodies, the
+Reynolds/Nusselt transforms between two length scales, and the
 Biot-from-Nusselt conversion  B = r2 * Nu.  Material property ratios for
 common solid/fluid pairs ship as bundled CSV reference data.
 """
@@ -31,14 +31,13 @@ RE_TRANSITION_DEFAULT = 5.0e5
 class Shape:
     """Convex body exposing volume / surface area / diameter as available.
 
-    Analytic constructors fill all three; a raw point cloud only yields the
-    diameter (max pairwise distance) unless the caller supplies the rest.
+    Analytic constructors fill all three; a body built directly may leave
+    any of them None, and `length_scale` rejects the kinds that need one.
     """
     kind: str
     volume: float | None = None
     surface_area: float | None = None
     diameter: float | None = None
-    points: np.ndarray | None = None
 
     @staticmethod
     def sphere(D: float) -> "Shape":
@@ -79,16 +78,6 @@ class Shape:
         return Shape("cylinder", volume=math.pi * D * D * L / 4.0,
                      surface_area=math.pi * D * L + math.pi * D * D / 2.0,
                      diameter=math.sqrt(D * D + L * L))
-
-    @staticmethod
-    def point_cloud(points, volume=None, surface_area=None) -> "Shape":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2:
-            raise ValueError("need at least two points of equal dimension")
-        # max pairwise distance; clouds here are small (hundreds of points)
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        return Shape("point_cloud", volume=volume, surface_area=surface_area,
-                     diameter=float(np.sqrt(d2.max())), points=pts)
 
 
 def length_scale(shape: Shape, kind: str) -> float:
@@ -228,10 +217,10 @@ def transform_correlation(corr: Correlation, q: float, Re_in_D2, Pr,
 
 def biot_from_nusselt(r2: float, Nu: float) -> float:
     """B = r2 * Nu (conductivity ratio times Nusselt number)."""
-    if r2 <= 0:
-        raise ValueError("conductivity ratio r2 must be positive")
-    if Nu < 0:
-        raise ValueError("Nu must be nonnegative")
+    if not 0 < r2 < math.inf:
+        raise ValueError("conductivity ratio r2 must be finite and positive")
+    if not 0 <= Nu < math.inf:
+        raise ValueError("Nu must be finite and nonnegative")
     return r2 * Nu
 
 

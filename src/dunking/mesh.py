@@ -12,6 +12,7 @@ are nested: ``generate_canonical(shape, r)`` equals the base mesh refined
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,9 +21,9 @@ from scipy.spatial import ConvexHull
 CANONICAL_SHAPES = ("disk", "square", "equilateral_triangle", "cross")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True, eq=False)
 class Mesh2D:
-    """Conforming triangle mesh.
+    """Conforming triangle mesh: an immutable value, valid whenever it exists.
 
     vertices       : (nv, 2) float array
     triangles      : (nt, 3) int array, CCW orientation (positive area)
@@ -31,6 +32,12 @@ class Mesh2D:
     edge_tags      : (nb,) int boundary tag per edge (default 0)
     boundary_projector : optional callable mapping (m, 2) points onto the exact
         curved boundary; applied to new boundary vertices during refinement.
+
+    Construction validates the mesh and keeps read-only views (not copies)
+    of the five arrays.  Triangle areas, boundary edge lengths and
+    `geometry_stats` are computed once, on first use, and cached read-only.
+    Build a modified mesh with `dataclasses.replace`: it is validated anew
+    and starts with an empty cache.
     """
 
     vertices: np.ndarray
@@ -39,6 +46,12 @@ class Mesh2D:
     boundary_edges: np.ndarray
     edge_tags: np.ndarray
     boundary_projector: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self)[:5]:  # the five arrays
+            view = _read_only(np.asarray(getattr(self, f.name)).view())
+            object.__setattr__(self, f.name, view)
+        self.validate()
 
     @property
     def num_vertices(self) -> int:
@@ -52,17 +65,31 @@ class Mesh2D:
     def num_boundary_edges(self) -> int:
         return self.boundary_edges.shape[0]
 
+    @functools.cached_property
+    def _areas(self) -> np.ndarray:
+        return _read_only(_signed_areas(self.vertices, self.triangles))
+
+    @functools.cached_property
+    def _edge_lengths(self) -> np.ndarray:
+        p, e = self.vertices, self.boundary_edges
+        return _read_only(np.linalg.norm(p[e[:, 1]] - p[e[:, 0]], axis=1))
+
+    @functools.cached_property
+    def _stats(self) -> GeometryStats:
+        areas = self._areas
+        area = float(areas.sum())
+        perimeter = float(self._edge_lengths.sum())
+        centroid = tuple((areas @ self.vertices[self.triangles].mean(axis=1)) / area)
+        # the farthest pair of vertices lies on the convex hull, whose
+        # vertices are boundary vertices
+        diameter = _diameter(self.vertices[np.unique(self.boundary_edges)])
+        return GeometryStats(area, perimeter, perimeter / area, diameter, centroid)
+
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return self._areas
 
     def edge_lengths(self) -> np.ndarray:
-        p = self.vertices
-        e = self.boundary_edges
-        return np.linalg.norm(p[e[:, 1]] - p[e[:, 0]], axis=1)
+        return self._edge_lengths
 
     def validate(self) -> None:
         """Check mesh consistency; raises ValueError on any defect."""
@@ -80,7 +107,7 @@ class Mesh2D:
             # alias the key of another edge
             if arr.min(initial=0) < 0 or arr.max(initial=-1) >= nv:
                 raise ValueError(f"{name} vertex index out of range")
-        areas = self.triangle_areas()
+        areas = self._areas
         if not np.all(areas > 0.0):
             bad = int(np.flatnonzero(~(areas > 0.0))[0])
             raise ValueError(
@@ -98,16 +125,6 @@ class Mesh2D:
             raise ValueError("edge_tags must have one tag per boundary edge")
         _check_connected(self.triangles, nv)
 
-    def copy(self) -> "Mesh2D":
-        return Mesh2D(
-            self.vertices.copy(),
-            self.triangles.copy(),
-            self.tri_regions.copy(),
-            self.boundary_edges.copy(),
-            self.edge_tags.copy(),
-            self.boundary_projector,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class GeometryStats:
@@ -116,6 +133,25 @@ class GeometryStats:
     gamma: float       # perimeter / area
     diameter: float    # max pairwise vertex distance
     centroid: tuple
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    d1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
+    d2 = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def _diameter(points: np.ndarray) -> float:
+    """Max pairwise distance of points not all collinear, in O(hull) memory."""
+    hull = points[ConvexHull(points).vertices]
+    d2 = max(((hull[i + 1:] - hull[i]) ** 2).sum(axis=1).max()
+             for i in range(hull.shape[0] - 1))
+    return float(np.sqrt(d2))
 
 
 def _edge_keys(edges: np.ndarray, nv: int) -> np.ndarray:
@@ -160,23 +196,11 @@ def _finalize(vertices, triangles, regions, projector=None) -> Mesh2D:
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     # enforce CCW orientation
-    d1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
-    d2 = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    flip = areas < 0
+    flip = _signed_areas(vertices, triangles) < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     bedges = _extract_boundary_edges(triangles, vertices.shape[0])
-    tags = np.zeros(bedges.shape[0], dtype=np.int64)
-    mesh = Mesh2D(
-        vertices,
-        triangles,
-        np.asarray(regions, dtype=np.int64),
-        bedges,
-        tags,
-        projector,
-    )
-    mesh.validate()
-    return mesh
+    return Mesh2D(vertices, triangles, np.asarray(regions, dtype=np.int64), bedges,
+                  np.zeros(bedges.shape[0], dtype=np.int64), projector)
 
 
 # ---------------------------------------------------------------- canonical shapes
@@ -321,35 +345,20 @@ def _refine_once(mesh: Mesh2D) -> Mesh2D:
     if np.any(mesh.edge_tags != 0):
         parent = ukeys[refined.boundary_edges.max(axis=1) - nv]
         order = np.argsort(bkeys)
-        refined.edge_tags = mesh.edge_tags[order[np.searchsorted(bkeys[order], parent)]]
+        refined = dataclasses.replace(
+            refined, edge_tags=mesh.edge_tags[order[np.searchsorted(bkeys[order], parent)]])
     return refined
 
 
 def tag_halfplane_regions(mesh: Mesh2D, axis: int = 0) -> Mesh2D:
     """Split the mesh into two regions by the sign of a coordinate of the
     triangle centroid (region 0: negative side, region 1: nonnegative side)."""
-    out = mesh.copy()
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    out.tri_regions = (cent[:, axis] >= 0.0).astype(np.int64)
-    return out
+    return dataclasses.replace(mesh, tri_regions=(cent[:, axis] >= 0.0).astype(np.int64))
 
 
 def geometry_stats(mesh: Mesh2D) -> GeometryStats:
-    areas = mesh.triangle_areas()
-    if np.any(areas <= 0.0):
-        raise ValueError("degenerate triangle in mesh")
-    area = float(areas.sum())
-    perimeter = float(mesh.edge_lengths().sum())
-    cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    centroid = tuple((areas @ cent) / area)
-    # diameter: max pairwise distance, attained on the convex hull vertices,
-    # which are boundary vertices
-    pts = mesh.vertices[np.unique(mesh.boundary_edges)]
-    if pts.shape[0] > 16:
-        pts = pts[ConvexHull(pts).vertices]
-    diff = pts[:, None, :] - pts[None, :, :]
-    diameter = float(np.sqrt((diff ** 2).sum(axis=2)).max())
-    return GeometryStats(area, perimeter, perimeter / area, diameter, centroid)
+    return mesh._stats
 
 
 # ---------------------------------------------------------------------- text I/O
@@ -390,6 +399,4 @@ def read_mesh(path) -> Mesh2D:
     edge_rows = rows[1 + nv + nt:]
     bedges = np.array([[int(r[0]), int(r[1])] for r in edge_rows], dtype=np.int64).reshape(nb, 2)
     tags = np.array([int(r[2]) if len(r) > 2 else 0 for r in edge_rows], dtype=np.int64)
-    mesh = Mesh2D(verts, tris, regions, bedges, tags, None)
-    mesh.validate()
-    return mesh
+    return Mesh2D(verts, tris, regions, bedges, tags, None)

@@ -257,6 +257,10 @@ def eta_profile_stats(coords, values, periodic: bool = False,
     values = np.asarray(values, dtype=float)
     if coords.ndim != 1 or coords.shape != values.shape or len(coords) < 2:
         raise ValueError("need matching 1D coords/values with >= 2 samples")
+    for what, arr in (("coordinate", coords), ("value", values)):
+        if not np.all(np.isfinite(arr)):
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise ValueError(f"profile sample {bad} has a non-finite {what}")
     if np.any(values < 0):
         raise ValueError("profile values must be nonnegative")
     h, a, b, period = _segments(coords, values, periodic, period)

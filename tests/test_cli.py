@@ -186,6 +186,8 @@ def test_bad_numeric_value_is_config_error(tmp_path):
     ("bounds", "--B", "0.1", "--B-est", "0.1", "--gamma", "inf", "--phi", "1"),
     ("lcm", "--B", "nan", "--gamma", "4"),
     ("correlate", "--name", "ranz_marshall", "--Re", "inf", "--Pr", "0.71"),
+    ("correlate", "--name", "ranz_marshall", "--Re", "100", "--Pr", "0.71",
+     "--r2", "nan"),
     ("fit-shape", "--generate", "spheroid", "--a", "nan", "--b", "1"),
     ("fit-shape", "--generate", "cuboid", "--lx", "inf"),
     ("learn-q", "--correlation", "ranz_marshall", "--Re", "100", "--Nu",

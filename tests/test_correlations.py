@@ -94,7 +94,7 @@ def test_sphere_length_scales():
 
 
 def test_length_scale_requires_data():
-    cloud = corr.Shape.point_cloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    cloud = corr.Shape("cloud", diameter=1.0)
     assert abs(corr.length_scale(cloud, "diameter") - 1.0) < 1e-14
     with pytest.raises(ValueError):
         corr.length_scale(cloud, "equivalent_sphere")
@@ -169,6 +169,9 @@ def test_biot_from_nusselt():
         corr.biot_from_nusselt(0.0, 2.0)
     with pytest.raises(ValueError):
         corr.biot_from_nusselt(0.05, -1.0)
+    for r2, nu in ((float("nan"), 2.0), (math.inf, 2.0), (0.05, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            corr.biot_from_nusselt(r2, nu)
 
 
 # ------------------------------------------------------------ tables

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 from scipy.special import jvp
 
@@ -138,3 +141,31 @@ def test_constrained_k_at_available_spectrum_rejected():
     with pytest.raises(ValueError, match="constrained spectrum"):
         eigen.generalized_eigs(forms.A0, forms.A1, avail, constraint=op)
     eigen.generalized_eigs(forms.A0, forms.A1, avail - 1, constraint=op)
+
+
+@pytest.fixture(scope="module")
+def level3_constants():
+    out = {}
+    for shape in mesh.CANONICAL_SHAPES:
+        m = mesh.generate_canonical(shape, 3)
+        out[shape] = (m, eigen.stability_constants(m), mesh.geometry_stats(m))
+    return out
+
+
+@given(theta=st.floats(0.0, 2 * np.pi), log10_s=st.floats(-3.0, 3.0),
+       t_norm=st.floats(0.0, 100.0), t_angle=st.floats(0.0, 2 * np.pi))
+def test_stability_ratios_invariant_under_similarity(level3_constants, theta,
+                                                     log10_s, t_norm, t_angle):
+    # v -> s R v + t: gamma^2/mu and gamma/Lambda are scale- and
+    # rigid-motion-invariant, gamma scales as 1/s and the diameter as s
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    s = 10.0 ** log10_s
+    t = t_norm * np.array([np.cos(t_angle), np.sin(t_angle)])
+    for m, sc, gs in level3_constants.values():
+        moved = dataclasses.replace(m, vertices=s * m.vertices @ rot.T + t)
+        sc2, gs2 = eigen.stability_constants(moved), mesh.geometry_stats(moved)
+        assert sc2.gamma_sq_over_mu == pytest.approx(sc.gamma_sq_over_mu, rel=1e-9)
+        assert sc2.gamma_over_lambda == pytest.approx(sc.gamma_over_lambda, rel=1e-9)
+        assert gs2.gamma * s == pytest.approx(gs.gamma, rel=1e-9)
+        assert gs2.diameter / s == pytest.approx(gs.diameter, rel=1e-9)

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dunking import mesh
 
@@ -53,10 +55,10 @@ def test_refine_quadruples_triangles(disk4):
 
 
 def test_validate_rejects_flipped_triangle(square4):
-    bad = square4.copy()
-    bad.triangles[0] = bad.triangles[0][::-1]
+    tris = square4.triangles.copy()
+    tris[0] = tris[0][::-1]
     with pytest.raises(ValueError):
-        bad.validate()
+        dataclasses.replace(square4, triangles=tris)
 
 
 def _interior_edge(m):
@@ -64,24 +66,29 @@ def _interior_edge(m):
     return next(e for e in m.triangles[:, :2].tolist() if tuple(sorted(e)) not in bnd)
 
 
+# each breaker returns the fields that replace the valid mesh's ones
+
 def _drop_first(m):
-    m.boundary_edges, m.edge_tags = m.boundary_edges[1:], m.edge_tags[1:]
+    return dict(boundary_edges=m.boundary_edges[1:], edge_tags=m.edge_tags[1:])
 
 
 def _append_edge(m, edge):
-    m.boundary_edges = np.vstack([m.boundary_edges, [edge]])
-    m.edge_tags = np.append(m.edge_tags, 0)
+    return dict(boundary_edges=np.vstack([m.boundary_edges, [edge]]),
+                edge_tags=np.append(m.edge_tags, 0))
 
 
 def _alias_first(m):
     # (lo - 1, hi + nv) has the key (lo - 1) * nv + hi + nv of edge (lo, hi)
     lo, hi = sorted(m.boundary_edges[0].tolist())
-    m.boundary_edges = m.boundary_edges.copy()
-    m.boundary_edges[0] = (lo - 1, hi + m.num_vertices)
+    bedges = m.boundary_edges.copy()
+    bedges[0] = (lo - 1, hi + m.num_vertices)
+    return dict(boundary_edges=bedges)
 
 
 def _point_past_last_vertex(m):
-    m.triangles[0, 0] = m.num_vertices
+    tris = m.triangles.copy()
+    tris[0, 0] = m.num_vertices
+    return dict(triangles=tris)
 
 
 DEFECTS = {
@@ -91,12 +98,12 @@ DEFECTS = {
     "aliased out-of-range edge": (_alias_first, "boundary_edges vertex index out of range"),
     "negative edge index": (lambda m: _append_edge(m, [-1, 0]), "out of range"),
     "out-of-range triangle": (_point_past_last_vertex, "triangles vertex index out of range"),
-    "flat boundary_edges": (lambda m: setattr(m, "boundary_edges", m.boundary_edges.ravel()),
+    "flat boundary_edges": (lambda m: dict(boundary_edges=m.boundary_edges.ravel()),
                             r"integer \(n, 2\) array"),
     "three-column boundary_edges": (
-        lambda m: setattr(m, "boundary_edges", np.repeat(m.boundary_edges, [1, 2], axis=1)),
+        lambda m: dict(boundary_edges=np.repeat(m.boundary_edges, [1, 2], axis=1)),
         r"integer \(n, 2\) array"),
-    "float triangles": (lambda m: setattr(m, "triangles", m.triangles.astype(float)),
+    "float triangles": (lambda m: dict(triangles=m.triangles.astype(float)),
                         r"integer \(n, 3\) array"),
 }
 
@@ -104,10 +111,8 @@ DEFECTS = {
 @pytest.mark.parametrize("defect", sorted(DEFECTS))
 def test_validate_rejects_defect(square4, defect):
     breaker, message = DEFECTS[defect]
-    bad = square4.copy()
-    breaker(bad)
     with pytest.raises(ValueError, match=message):
-        bad.validate()
+        dataclasses.replace(square4, **breaker(square4))
 
 
 @pytest.mark.parametrize("first_vertex", ["nan 0", "0 inf", "-inf -inf"])
@@ -119,6 +124,49 @@ def test_read_mesh_rejects_nonfinite_vertex(tmp_path, first_vertex):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="vertex 0 has a non-finite coordinate"):
         mesh.read_mesh(p)
+
+
+# ------------------------------------------------ an immutable, cached value
+
+@given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                min_size=3, max_size=60))
+def test_diameter_matches_all_pairs(coords):
+    pts = np.array(coords, dtype=np.int64)
+    d = pts[1:] - pts[0]
+    # Qhull rejects a flat set
+    assume(np.any(d[:, None, 0] * d[None, :, 1] != d[:, None, 1] * d[None, :, 0]))
+    # integer coordinates make every squared distance exact
+    dense = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max()
+    assert mesh._diameter(pts.astype(float)) == np.sqrt(float(dense))
+
+
+def test_mesh_fields_cannot_be_assigned(square4):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        square4.edge_tags = np.ones_like(square4.edge_tags)
+
+
+@pytest.mark.parametrize("name", ["vertices", "triangles", "tri_regions",
+                                  "boundary_edges", "edge_tags",
+                                  "triangle_areas", "edge_lengths"])
+def test_mesh_arrays_are_read_only(square4, name):
+    arr = getattr(square4, name)
+    if callable(arr):
+        arr = arr()
+        assert arr is getattr(square4, name)()  # computed once
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] = arr[0]
+
+
+def test_replace_starts_with_a_fresh_cache():
+    m = mesh.generate_canonical("square", 2)
+    gs = mesh.geometry_stats(m)
+    assert mesh.geometry_stats(m) is gs
+    big = dataclasses.replace(m, vertices=2.0 * m.vertices)
+    assert "_stats" not in vars(big) and "_edge_lengths" not in vars(big)
+    assert np.array_equal(big.triangle_areas(), 4.0 * m.triangle_areas())
+    assert np.array_equal(big.edge_lengths(), 2.0 * m.edge_lengths())
+    assert mesh.geometry_stats(big).area == 4.0 * gs.area
+    assert mesh.geometry_stats(big).diameter == 2.0 * gs.diameter
 
 
 def test_unknown_shape():
@@ -215,10 +263,8 @@ def _relabelled(m, seed):
     verts[perm] = m.vertices
     tris = perm[m.triangles]
     bedges = _ref_extract_boundary_edges(tris)
-    out = mesh.Mesh2D(verts, tris, m.tri_regions.copy(), bedges,
-                      np.zeros(len(bedges), dtype=np.int64), m.boundary_projector)
-    out.validate()
-    return out
+    return mesh.Mesh2D(verts, tris, m.tri_regions.copy(), bedges,
+                       np.zeros(len(bedges), dtype=np.int64), m.boundary_projector)
 
 
 @given(st.sampled_from(mesh.CANONICAL_SHAPES), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -250,7 +296,8 @@ def _containing_edge_tags(base, m):
 
 def test_refinement_inherits_parent_edge_tags(tmp_path):
     base = mesh.generate_canonical("square", 1)
-    base.edge_tags = np.arange(1, base.num_boundary_edges + 1, dtype=np.int64)
+    base = dataclasses.replace(
+        base, edge_tags=np.arange(1, base.num_boundary_edges + 1, dtype=np.int64))
     once = mesh.refine(base)
     p = tmp_path / "once.txt"
     mesh.write_mesh(once, p)
@@ -263,6 +310,7 @@ def test_refinement_inherits_parent_edge_tags(tmp_path):
 
 def test_curved_refinement_inherits_tags_like_nearest_edge():
     disk = mesh.generate_canonical("disk", 2)
-    disk.edge_tags = np.random.default_rng(7).integers(1, 5, disk.num_boundary_edges)
+    disk = dataclasses.replace(
+        disk, edge_tags=np.random.default_rng(7).integers(1, 5, disk.num_boundary_edges))
     fine = mesh.refine(disk)
     assert np.array_equal(fine.edge_tags, _ref_inherit_edge_tags(disk, fine))

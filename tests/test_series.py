@@ -219,6 +219,15 @@ def test_profile_errors():
                                  periodic=True, period=1.5)
 
 
+@pytest.mark.parametrize("coords,values,message", [
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], "sample 1 has a non-finite value"),
+    ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], "sample 1 has a non-finite coordinate"),
+])
+def test_profile_rejects_nonfinite_samples(coords, values, message):
+    with pytest.raises(ValueError, match=message):
+        series.eta_profile_stats(coords, values)
+
+
 def test_profile_roundtrip(tmp_path):
     th = np.linspace(0.0, 2.0 * np.pi, 65)[:-1]
     prof = series.eta_profile_stats(th, 1.0 + 0.3 * np.cos(th),
