@@ -266,10 +266,9 @@ def cmd_rhe(cfg):
     gap = float(np.max(np.abs(sol.u_avg - lumped)))
     phi = budget_mod.solve_phi(msh, fields).phi
     cv = rhe_mod.coefficient_of_variation(sol, msh)
-    with open(os.path.join(outdir, "rhe_cv.csv"), "w") as fh:
-        fh.write("t,cv\n")
-        for t, c in zip(sol.snapshot_times, cv):
-            fh.write(f"{t:.17g},{c:.17g}\n")
+    np.savetxt(os.path.join(outdir, "rhe_cv.csv"),
+               np.column_stack([sol.snapshot_times, cv]), fmt="%.17g",
+               delimiter=",", header="t,cv", comments="")
     rows = [("shape", cfg["shape"]), ("eta", cfg["eta"]),
             ("levels", cfg["levels"]), ("B", cfg["B"]), ("gamma", gs.gamma),
             ("t_f", float(sol.times[-1])), ("steps", cfg["steps"]),
@@ -311,10 +310,9 @@ def cmd_lcm(cfg):
         t_f = 3.0 * model.tau_eq if math.isfinite(model.tau_eq) else 1.0
     times = np.linspace(0.0, t_f, cfg["steps"] + 1)
     vals = lcm_mod.lcm_evaluate(model, times)
-    with open(os.path.join(_outdir(cfg), "lcm_series.csv"), "w") as fh:
-        fh.write("t,u_lumped\n")
-        for t, u in zip(times, vals):
-            fh.write(f"{t:.17g},{u:.17g}\n")
+    np.savetxt(os.path.join(_outdir(cfg), "lcm_series.csv"),
+               np.column_stack([times, vals]), fmt="%.17g", delimiter=",",
+               header="t,u_lumped", comments="")
     write_report(cfg, "lcm", rows)
 
 
@@ -342,25 +340,22 @@ def cmd_learn_q(cfg):
         data = np.loadtxt(cfg["samples"], delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] < 2:
             raise ConfigError("samples CSV needs columns Re,Nu[,Pr]")
-        qs = []
-        with open(os.path.join(outdir, "learned_q.csv"), "w") as fh:
-            fh.write("Re,Nu,Pr,q\n")
-            for i, row in enumerate(data):
-                Re, Nu = row[0], row[1]
-                Pr = row[2] if data.shape[1] > 2 else cfg["Pr"]
-                if Pr is None:
-                    raise ConfigError("--Pr required when the samples file "
-                                      "has no Pr column")
-                sample = ls_mod.NuSample(f"row{i}", Re, Nu, Pr)
-                q = ls_mod.solve_q_pointwise(corr, sample,
-                                             method=cfg["method"])
-                qs.append((Re, q))
-                fh.write(f"{Re:.17g},{Nu:.17g},{Pr:.17g},{q:.17g}\n")
+        if data.shape[1] < 3 and cfg["Pr"] is None:
+            raise ConfigError("--Pr required when the samples file "
+                              "has no Pr column")
+        Res, Nus = data[:, 0], data[:, 1]
+        Prs = data[:, 2] if data.shape[1] > 2 else [cfg["Pr"]] * len(data)
+        qs = [ls_mod.solve_q_pointwise(corr, ls_mod.NuSample(f"row{i}", *s),
+                                       method=cfg["method"])
+              for i, s in enumerate(zip(Res, Nus, Prs))]
+        np.savetxt(os.path.join(outdir, "learned_q.csv"),
+                   np.column_stack([Res, Nus, Prs, qs]), fmt="%.17g",
+                   delimiter=",", header="Re,Nu,Pr,q", comments="")
         rows.append(("n_samples", len(qs)))
         if len(qs) >= 2:
-            rows.append(("average_q_log", ls_mod.average_q_log(qs)))
+            rows.append(("average_q_log", ls_mod.average_q_log(zip(Res, qs))))
         elif qs:
-            rows.append(("q", qs[0][1]))
+            rows.append(("q", qs[0]))
     elif cfg["Re"] is not None and cfg["Nu"] is not None:
         if cfg["Pr"] is None:
             raise ConfigError("--Pr is required")
@@ -411,10 +406,8 @@ def cmd_fit_shape(cfg):
                                                seed=cfg["seed"])
         else:
             raise ConfigError(f"unknown --generate kind {kind!r}")
-        with open(os.path.join(_outdir(cfg), "fit_points.csv"), "w") as fh:
-            fh.write("x,y,z\n")
-            for p in pts:
-                fh.write(f"{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
+        np.savetxt(os.path.join(_outdir(cfg), "fit_points.csv"), pts,
+                   fmt="%.17g", delimiter=",", header="x,y,z", comments="")
     elif cfg["points"] is not None:
         pts = np.loadtxt(cfg["points"], delimiter=",", skiprows=1, ndmin=2)
     else:

@@ -162,10 +162,9 @@ def stability_constants(mesh: Mesh2D) -> StabilityConstants:
 
 def write_eigenpairs(path, pairs: list[EigenPair], vectors_path=None) -> None:
     """CSV export ``index,lambda``; optionally nodal vectors as columns."""
-    with open(path, "w") as fh:
-        fh.write("index,lambda\n")
-        for i, p in enumerate(pairs):
-            fh.write(f"{i},{p.value:.17g}\n")
+    rows = np.reshape([(i, p.value) for i, p in enumerate(pairs)], (-1, 2))
+    np.savetxt(path, rows, fmt=("%d", "%.17g"), delimiter=",",
+               header="index,lambda", comments="")
     if vectors_path is not None:
         mat = np.column_stack([p.vector for p in pairs])
         header = ",".join(f"v{i}" for i in range(len(pairs)))

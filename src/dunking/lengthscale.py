@@ -144,11 +144,11 @@ class LengthScaleModel:
         return float(self._interp([[math.log10(s), theta_deg]])[0])
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("s,theta_deg,q\n")
-            for i, ls in enumerate(self.log10_s):
-                for j, th in enumerate(self.theta_deg):
-                    fh.write(f"{10.0**ls:.17g},{th:.17g},{self.q[i, j]:.17g}\n")
+        # a scalar power per element: the array power can differ in the last bit
+        s = np.repeat([10.0 ** ls for ls in self.log10_s], len(self.theta_deg))
+        theta = np.tile(self.theta_deg, len(self.log10_s))
+        np.savetxt(path, np.column_stack([s, theta, self.q.ravel()]), fmt="%.17g",
+                   delimiter=",", header="s,theta_deg,q", comments="")
 
     @staticmethod
     def from_csv(path) -> "LengthScaleModel":

@@ -192,15 +192,17 @@ def _check_connected(triangles: np.ndarray, nv: int) -> None:
         raise ValueError(f"mesh is not connected ({ncomp} components)")
 
 
-def _finalize(vertices, triangles, regions, projector=None) -> Mesh2D:
+def _finalize(vertices, triangles, regions, projector=None, tags_of=None) -> Mesh2D:
+    """Orient the triangles CCW, extract the boundary and build the mesh;
+    `tags_of` maps the boundary edges to their tags (default all 0)."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    # enforce CCW orientation
     flip = _signed_areas(vertices, triangles) < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     bedges = _extract_boundary_edges(triangles, vertices.shape[0])
+    tags = np.zeros(bedges.shape[0], dtype=np.int64) if tags_of is None else tags_of(bedges)
     return Mesh2D(vertices, triangles, np.asarray(regions, dtype=np.int64), bedges,
-                  np.zeros(bedges.shape[0], dtype=np.int64), projector)
+                  tags, projector)
 
 
 # ---------------------------------------------------------------- canonical shapes
@@ -339,15 +341,15 @@ def _refine_once(mesh: Mesh2D) -> Mesh2D:
     )
     newregions = np.tile(mesh.tri_regions, 4)
 
-    refined = _finalize(newverts, newtris, newregions, projector=mesh.boundary_projector)
     # inherit boundary tags: a new boundary edge joins an old vertex to the
     # midpoint m >= nv of its parent edge, whose key is ukeys[m - nv]
-    if np.any(mesh.edge_tags != 0):
-        parent = ukeys[refined.boundary_edges.max(axis=1) - nv]
-        order = np.argsort(bkeys)
-        refined = dataclasses.replace(
-            refined, edge_tags=mesh.edge_tags[order[np.searchsorted(bkeys[order], parent)]])
-    return refined
+    order = np.argsort(bkeys)
+
+    def parent_tags(bedges):
+        parent = ukeys[bedges.max(axis=1) - nv]
+        return mesh.edge_tags[order[np.searchsorted(bkeys[order], parent)]]
+
+    return _finalize(newverts, newtris, newregions, mesh.boundary_projector, parent_tags)
 
 
 def tag_halfplane_regions(mesh: Mesh2D, axis: int = 0) -> Mesh2D:

@@ -57,10 +57,8 @@ class TransientSolution:
     snapshots: np.ndarray | None = None  # (len(snapshot_times), n) nodal fields
 
     def write_series(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,u_avg\n")
-            for t, u in zip(self.times, self.u_avg):
-                fh.write(f"{t:.17g},{u:.17g}\n")
+        np.savetxt(path, np.column_stack([self.times, self.u_avg]),
+                   fmt="%.17g", delimiter=",", header="t,u_avg", comments="")
 
     def write_snapshots(self, path_pattern: str) -> None:
         """One nodal-value file per stored time; pattern receives the time."""

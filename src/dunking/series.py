@@ -9,7 +9,9 @@ heat-transfer profiles into mean-1 variation functions with variances.
 from __future__ import annotations
 
 import dataclasses
+import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,6 +34,8 @@ class NusseltSeries:
         self.nu_avg = np.asarray(self.nu_avg, dtype=float)
         if self.times.ndim != 1 or self.times.shape != self.nu_avg.shape:
             raise ValueError("times and nu_avg must be matching 1D arrays")
+        if self.times.size == 0:
+            raise ValueError("the series has no samples")
         if not np.all(np.isfinite(self.times)):
             raise ValueError("times contains non-finite values")
         if np.any(np.diff(self.times) <= 0):
@@ -40,54 +44,56 @@ class NusseltSeries:
             raise ValueError("nu_avg contains non-finite values")
 
 
+_META_LINE = re.compile(r"^[ \t]*#[ \t]*(\w+)[ \t]*=[ \t]*(.*?)[ \t]*$",
+                        re.MULTILINE)
+
+
+def _read_table(path, header: str):
+    """(metadata, body) of a numeric CSV: `# key = value` lines give the
+    metadata, lines starting with `header` (any case) are skipped, and the
+    first two columns of the other nonblank lines form the (n, 2) body."""
+    with open(path) as fh:
+        text = fh.read()
+    meta = dict(_META_LINE.findall(text))
+    # blank the header, comment and whitespace-only lines, which loadtxt
+    # would otherwise read as rows
+    text = re.sub(rf"(?im)^[ \t]*(?:(?:#|{re.escape(header)}).*)?$", "", text)
+    # an empty body is for the caller to reject; bytes, not a StringIO,
+    # which left ~45 MB resident after a 200 001-row read returned
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        body = np.loadtxt(io.BytesIO(text.encode()), delimiter=",",
+                          comments="#", usecols=(0, 1), ndmin=2)
+    return meta, body
+
+
 def read_series(path, **metadata) -> NusseltSeries:
     """Load a `t,nu` CSV.  Lines `# key = value` supply metadata defaults;
     keyword arguments override.  Duplicated time stamps keep the last value
     (with a warning)."""
-    meta, rows = {}, []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    k, v = line[1:].split("=", 1)
-                    meta[k.strip()] = v.strip()
-                continue
-            if line.lower().startswith("t,"):
-                continue
-            t_s, nu_s = line.split(",")[:2]
-            t = float(t_s)
-            if not math.isfinite(t):
-                raise ValueError(f"{path}: non-finite time stamp {t_s.strip()!r}")
-            rows.append((t, float(nu_s)))
-    dedup = {}
-    for t, nu in rows:
-        if t in dedup:
-            warnings.warn(f"duplicate time stamp t={t:g}; keeping last value")
-        dedup[t] = nu
-    ts = np.array(sorted(dedup))
-    nus = np.array([dedup[t] for t in ts])
-    kwargs = {}
-    for key in ("Re", "Pr", "r1", "r2"):
-        if key in meta:
-            kwargs[key] = float(meta[key])
+    meta, body = _read_table(path, "t,")
+    t, nu = body.T
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"{path}: non-finite time stamp {t[~np.isfinite(t)][0]}")
+    # unique over the reversed stamps keeps each stamp's last occurrence
+    ts, first = np.unique(t[::-1], return_index=True)
+    if len(ts) < len(t):
+        warnings.warn(f"duplicated time stamps: {len(t) - len(ts)}; "
+                      "keeping the last value of each")
+    kwargs = {key: float(meta[key]) for key in ("Re", "Pr", "r1", "r2")
+              if key in meta}
     if "length_scale" in meta:
         kwargs["length_scale"] = meta["length_scale"]
-    kwargs.update(metadata)
-    return NusseltSeries(ts, nus, **kwargs)
+    return NusseltSeries(ts, nu[::-1][first], **{**kwargs, **metadata})
 
 
 def write_series(series: NusseltSeries, path) -> None:
-    with open(path, "w") as fh:
-        for key in ("Re", "Pr", "r1", "r2", "length_scale"):
-            val = getattr(series, key)
-            if val is not None:
-                fh.write(f"# {key} = {val}\n")
-        fh.write("t,nu\n")
-        for t, nu in zip(series.times, series.nu_avg):
-            fh.write(f"{t:.17g},{nu:.17g}\n")
+    meta = [f"# {key} = {getattr(series, key)}"
+            for key in ("Re", "Pr", "r1", "r2", "length_scale")
+            if getattr(series, key) is not None]
+    np.savetxt(path, np.column_stack([series.times, series.nu_avg]),
+               fmt="%.17g", delimiter=",", header="\n".join(meta + ["t,nu"]),
+               comments="")
 
 
 def vortex_frequency(St: float, r1: float, r2: float, Re: float, Pr: float):
@@ -96,9 +102,12 @@ def vortex_frequency(St: float, r1: float, r2: float, Re: float, Pr: float):
     f_vs = St * (r2/r1) * Re * Pr, the Strouhal estimate carried into the
     nondimensionalization; t_vs = 1/f_vs is the oscillation period.
     """
-    if min(St, r1, r2, Re, Pr) <= 0:
-        raise ValueError("all inputs must be positive")
+    for name, v in (("St", St), ("r1", r1), ("r2", r2), ("Re", Re), ("Pr", Pr)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
     f_vs = St * (r2 / r1) * Re * Pr
+    if not 0 < f_vs < math.inf:
+        raise ValueError(f"shedding frequency {f_vs} is out of range")
     return f_vs, 1.0 / f_vs
 
 
@@ -121,7 +130,9 @@ def _window_average(times, values, t0, t1):
     """Trapezoid of the piecewise-linear series over [t0, t1]."""
     lo = np.interp(t0, times, values)
     hi = np.interp(t1, times, values)
-    inside = (times > t0) & (times < t1)
+    # the samples strictly inside (t0, t1)
+    inside = slice(np.searchsorted(times, t0, "right"),
+                   np.searchsorted(times, t1, "left"))
     ts = np.concatenate([[t0], times[inside], [t1]])
     vs = np.concatenate([[lo], values[inside], [hi]])
     return float(np.trapezoid(vs, ts) / (t1 - t0))
@@ -143,6 +154,13 @@ def steady_state_detect(series: NusseltSeries, St: float = 0.2,
     """
     if None in (series.Re, series.Pr, series.r1, series.r2):
         raise ValueError("series metadata (Re, Pr, r1, r2) is required")
+    for name, v in (("initial_window", initial_window),
+                    ("step_size", step_size), ("threshold", threshold)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+    for name, v in (("growth", growth), ("activation", activation)):
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     _, t_vs = vortex_frequency(St, series.r1, series.r2, series.Re, series.Pr)
 
     t = series.times
@@ -183,16 +201,14 @@ def steady_state_detect(series: NusseltSeries, St: float = 0.2,
 
 
 def write_report(report: SteadyStateReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# t_vs = {report.t_vs:.17g}\n")
-        fh.write(f"# converged = {report.converged}\n")
-        if report.converged:
-            fh.write(f"# t_f = {report.t_f:.17g}\n")
-            fh.write(f"# nu_stavg = {report.nu_stavg:.17g}\n")
-        fh.write("step,window_end,width,avg,criterion\n")
-        for row in report.history:
-            fh.write(f"{int(row[0])},{row[1]:.17g},{row[2]:.17g},"
-                     f"{row[3]:.17g},{row[4]:.17g}\n")
+    meta = [f"# t_vs = {report.t_vs:.17g}",
+            f"# converged = {report.converged}"]
+    if report.converged:
+        meta += [f"# t_f = {report.t_f:.17g}",
+                 f"# nu_stavg = {report.nu_stavg:.17g}"]
+    np.savetxt(path, report.history, fmt=["%d"] + ["%.17g"] * 4,
+               delimiter=",", comments="",
+               header="\n".join(meta + ["step,window_end,width,avg,criterion"]))
 
 
 # ------------------------------------------------------------ profiles
@@ -275,29 +291,13 @@ def eta_profile_stats(coords, values, periodic: bool = False,
 
 
 def read_profile(path) -> EtaProfile:
-    periodic = False
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "periodic" in line:
-                    periodic = line.split("=", 1)[1].strip().lower() == "true"
-                continue
-            if line.lower().startswith("coord"):
-                continue
-            c_s, e_s = line.split(",")[:2]
-            rows.append((float(c_s), float(e_s)))
-    coords = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
-    return eta_profile_stats(coords, vals, periodic=periodic)
+    meta, body = _read_table(path, "coord")
+    return eta_profile_stats(body[:, 0], body[:, 1],
+                             periodic=meta.get("periodic", "").lower() == "true")
 
 
 def write_profile(profile: EtaProfile, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# periodic={'true' if profile.periodic else 'false'}\n")
-        fh.write("coord,eta\n")
-        for c, e in zip(profile.coords, profile.eta):
-            fh.write(f"{c:.17g},{e:.17g}\n")
+    np.savetxt(path, np.column_stack([profile.coords, profile.eta]),
+               fmt="%.17g", delimiter=",", comments="",
+               header=f"# periodic={'true' if profile.periodic else 'false'}\n"
+                      "coord,eta")

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from dunking import cli, eigen
+from dunking import cli, eigen, lengthscale, rhe, series
 from dunking import correlations as corr
 
 
@@ -181,6 +181,9 @@ def test_bad_numeric_value_is_config_error(tmp_path):
     assert code == 2
 
 
+SERIES_META = "# Re = 100\n# Pr = 0.71\n# r1 = 0.5\n# r2 = 2.0\nt,nu\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--B", "nan", "--B-est", "0.1", "--gamma", "4", "--phi", "1"),
     ("bounds", "--B", "0.1", "--B-est", "0.1", "--gamma", "inf", "--phi", "1"),
@@ -193,21 +196,35 @@ def test_bad_numeric_value_is_config_error(tmp_path):
     ("learn-q", "--correlation", "ranz_marshall", "--Re", "100", "--Nu",
      "nan", "--Pr", "0.71"),
     ("lcm", "--B", "0.05", "--gamma", "2", "--t-f", "nan"),
+    *[("steady-state", "--series", "SERIES", flag, value)
+      for flag, value in (("--Re", "nan"), ("--St", "nan"), ("--St", "inf"),
+                          ("--r1", "inf"), ("--step-size", "nan"),
+                          ("--step-size", "0"), ("--step-size", "-1"),
+                          ("--initial-window", "nan"), ("--threshold", "nan"),
+                          ("--growth", "nan"), ("--activation", "nan"))],
 ])
 def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
-    code, _ = run(tmp_path, *argv)
+    # a well-formed series: every steady-state failure is the flag's
+    src = tmp_path / "series.csv"
+    src.write_text(SERIES_META + "".join(f"{k / 100},7.25\n"
+                                         for k in range(101)))
+    code, _ = run(tmp_path, *[str(src) if a == "SERIES" else a for a in argv])
     assert code == 2
 
 
 @pytest.mark.parametrize("command,flag,text,message", [
     ("steady-state", "--series",
-     "# Re = 100\n# Pr = 0.71\n# r1 = 0.5\n# r2 = 2.0\nt,nu\n"
-     "0,7.25\nnan,7.25\n1,7.25\n", "non-finite time stamp"),
+     SERIES_META + "0,7.25\nnan,7.25\n1,7.25\n", "non-finite time stamp nan"),
+    ("steady-state", "--series",
+     SERIES_META.replace("100", "nan") + "0,7.25\n1,7.25\n",
+     "Re must be finite and positive"),
+    ("steady-state", "--series", SERIES_META, "the series has no samples"),
     ("fit-shape", "--points",
      "x,y,z\n" + "".join(f"{np.cos(k)},{np.sin(k)},{0.1 * k}\n"
                          for k in range(11)) + "1,nan,0\n",
      "point 11 has a non-finite coordinate"),
-], ids=["series-nan-time", "points-nan-coordinate"])
+], ids=["series-nan-time", "series-nan-Re", "series-no-rows",
+        "points-nan-coordinate"])
 def test_nonfinite_file_inputs_are_config_errors(tmp_path, capsys, command,
                                                  flag, text, message):
     src = tmp_path / "input.csv"
@@ -317,3 +334,134 @@ def test_manifest_lists_resolved_options_sorted(tmp_path):
 
 def test_no_command_prints_help():
     assert cli.main([]) == 2
+
+
+# ------------------------------------------------------------ CSV formats
+#
+# Each writer gets three rows; its file must match the literal below: a
+# header row (after any `# key = value` lines), then `%.17g` columns.
+
+def _cli_csv(tmp_path, name, *argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    return out / name
+
+
+def _lcm_series(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.lcm_mod, "lcm_evaluate",
+                        lambda model, t: np.array([1.0, 0.1, 1e-310]))
+    return _cli_csv(tmp_path, "lcm_series.csv", "lcm", "--B", "0.1",
+                    "--gamma", "2", "--t-f", "1", "--steps", "2")
+
+
+def _rhe_cv(tmp_path, monkeypatch):
+    t = np.array([0.0, 0.5, 1.0])
+    sol = rhe.TransientSolution(t, np.ones(3), snapshot_times=t,
+                                snapshots=np.ones((3, 1)))
+    monkeypatch.setattr(cli.rhe_mod, "solve_rhea", lambda *a, **k: sol)
+    monkeypatch.setattr(cli.rhe_mod, "coefficient_of_variation",
+                        lambda sol, mesh: np.array([0.0, 1.0 / 3.0, 2.5]))
+    return _cli_csv(tmp_path, "rhe_cv.csv", "rhe", "--shape", "square",
+                    "--levels", "1", "--B", "0.1")
+
+
+def _learned_q(tmp_path, monkeypatch):
+    q = {10.0: 0.5, 100.0: 1.0 / 3.0, 1000.0: 2.0}
+    monkeypatch.setattr(cli.ls_mod, "solve_q_pointwise",
+                        lambda corr, sample, method: q[sample.Re])
+    src = tmp_path / "samples.csv"
+    src.write_text("Re,Nu\n10,2\n100,5.5\n1000,20\n")
+    return _cli_csv(tmp_path, "learned_q.csv", "learn-q", "--correlation",
+                    "ranz_marshall", "--samples", str(src), "--Pr", "0.71")
+
+
+def _fit_points(tmp_path, monkeypatch):
+    pts = np.array([[1.0, 0.0, -0.0], [0.1, 1.0 / 3.0, 1e300],
+                    [-1.5, 2.0, 3.0]])
+    fit = lengthscale.SpheroidFit(1.0, 0.0, 1.0, 1.0, np.array([1.0, 0, 0]),
+                                  False)
+    monkeypatch.setattr(cli.ls_mod, "sample_sphere_surface",
+                        lambda n, seed: pts)
+    monkeypatch.setattr(cli.ls_mod, "fit_spheroid", lambda points: fit)
+    return _cli_csv(tmp_path, "fit_points.csv", "fit-shape", "--generate",
+                    "sphere")
+
+
+def _transient_series(tmp_path, monkeypatch):
+    rhe.TransientSolution(np.array([0.0, 0.5, 1.0]),
+                          np.array([1.0, 0.1, 1e-310])).write_series(
+        tmp_path / "out.csv")
+    return tmp_path / "out.csv"
+
+
+def _eigenpairs(tmp_path, monkeypatch):
+    eigen.write_eigenpairs(tmp_path / "out.csv",
+                           [eigen.EigenPair(v, None) for v in (1.0, 0.1, 1e300)])
+    return tmp_path / "out.csv"
+
+
+def _surrogate(tmp_path, monkeypatch):
+    lengthscale.LengthScaleModel([-1.0, 0.0, 0.5], [30.0],
+                                 [[0.5], [1.0 / 3.0], [2.0]]).to_csv(
+        tmp_path / "out.csv")
+    return tmp_path / "out.csv"
+
+
+def _nusselt_series(tmp_path, monkeypatch):
+    ser = series.NusseltSeries([0.0, 0.5, 1.0], [1.0, 0.1, 1e-310], Re=100.0,
+                               length_scale="diameter")
+    series.write_series(ser, tmp_path / "out.csv")
+    return tmp_path / "out.csv"
+
+
+def _steady_state_report(tmp_path, monkeypatch):
+    hist = np.array([[0, 0.5, 0.5, 1.0, np.nan], [1, 1.0, 0.55, 0.1, np.nan],
+                     [2, 1.5, 0.6, 1.0 / 3.0, 1e-310]])
+    rep = series.SteadyStateReport(
+        t_vs=0.1, converged=True, t_f=1.0 / 3.0, nu_stavg=2.5, history=hist,
+        initial_window=0.5, step_size=0.05, growth=0.005,
+        activation_time=0.75, threshold=1e-3)
+    series.write_report(rep, tmp_path / "out.csv")
+    return tmp_path / "out.csv"
+
+
+def _eta_profile(tmp_path, monkeypatch):
+    prof = series.EtaProfile(np.array([0.0, 0.5, 1.0]),
+                             np.array([1.0, 0.1, 1.0 / 3.0]), variance=0.0,
+                             periodic=True, period=1.5)
+    series.write_profile(prof, tmp_path / "out.csv")
+    return tmp_path / "out.csv"
+
+
+@pytest.mark.parametrize("writer,expected", [
+    (_lcm_series, "t,u_lumped\n0,1\n0.5,0.10000000000000001\n"
+                  "1,9.9999999999999694e-311\n"),
+    (_rhe_cv, "t,cv\n0,0\n0.5,0.33333333333333331\n1,2.5\n"),
+    (_learned_q, "Re,Nu,Pr,q\n10,2,0.70999999999999996,0.5\n"
+                 "100,5.5,0.70999999999999996,0.33333333333333331\n"
+                 "1000,20,0.70999999999999996,2\n"),
+    (_fit_points, "x,y,z\n1,0,-0\n"
+                  "0.10000000000000001,0.33333333333333331,"
+                  "1.0000000000000001e+300\n-1.5,2,3\n"),
+    (_transient_series, "t,u_avg\n0,1\n0.5,0.10000000000000001\n"
+                        "1,9.9999999999999694e-311\n"),
+    (_eigenpairs, "index,lambda\n0,1\n1,0.10000000000000001\n"
+                  "2,1.0000000000000001e+300\n"),
+    (_surrogate, "s,theta_deg,q\n0.10000000000000001,30,0.5\n"
+                 "1,30,0.33333333333333331\n3.1622776601683795,30,2\n"),
+    (_nusselt_series, "# Re = 100.0\n# length_scale = diameter\nt,nu\n"
+                      "0,1\n0.5,0.10000000000000001\n"
+                      "1,9.9999999999999694e-311\n"),
+    (_steady_state_report,
+     "# t_vs = 0.10000000000000001\n# converged = True\n"
+     "# t_f = 0.33333333333333331\n# nu_stavg = 2.5\n"
+     "step,window_end,width,avg,criterion\n0,0.5,0.5,1,nan\n"
+     "1,1,0.55000000000000004,0.10000000000000001,nan\n"
+     "2,1.5,0.59999999999999998,0.33333333333333331,"
+     "9.9999999999999694e-311\n"),
+    (_eta_profile, "# periodic=true\ncoord,eta\n0,1\n"
+                   "0.5,0.10000000000000001\n1,0.33333333333333331\n"),
+], ids=lambda v: v.__name__.lstrip("_") if callable(v) else None)
+def test_csv_writer_bytes(tmp_path, monkeypatch, writer, expected):
+    path = writer(tmp_path, monkeypatch)
+    assert path.read_bytes() == expected.encode()

@@ -87,6 +87,8 @@ def test_eigenpair_export(tmp_path):
     eigen.write_eigenpairs(p, pairs)
     vals = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, 1]
     assert np.allclose(vals, [q.value for q in pairs], rtol=1e-12)
+    eigen.write_eigenpairs(p, [])
+    assert p.read_text() == "index,lambda\n"
 
 
 def test_more_pairs_than_rank_rejected():

@@ -314,3 +314,22 @@ def test_curved_refinement_inherits_tags_like_nearest_edge():
         disk, edge_tags=np.random.default_rng(7).integers(1, 5, disk.num_boundary_edges))
     fine = mesh.refine(disk)
     assert np.array_equal(fine.edge_tags, _ref_inherit_edge_tags(disk, fine))
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+def test_refinement_validates_each_mesh_once(monkeypatch, tagged):
+    base = mesh.generate_canonical("square", 1)
+    if tagged:
+        base = dataclasses.replace(
+            base, edge_tags=np.arange(1, base.num_boundary_edges + 1, dtype=np.int64))
+    calls = []
+    validate = mesh.Mesh2D.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(mesh.Mesh2D, "validate", counted)
+    fine = mesh.refine(base, 3)
+    assert len(calls) == 3
+    assert calls[-1] is fine

@@ -1,8 +1,10 @@
 """Nusselt time series, steady-state detection, boundary profiles."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dunking import series
 
@@ -32,6 +34,8 @@ def test_series_validation():
         series.NusseltSeries([0.0, 1.0], [1.0, np.nan])
     with pytest.raises(ValueError):
         series.NusseltSeries([[0.0, 1.0]], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="the series has no samples"):
+        series.NusseltSeries([], [])
 
 
 def test_constant_series_converges_at_earliest_armed_window():
@@ -113,6 +117,63 @@ def test_schedule_is_configurable():
     assert rep.threshold == 1e-2
 
 
+@pytest.mark.parametrize("meta,kwargs,message", [
+    ({"Re": np.nan}, {}, "Re must be finite and positive, got nan"),
+    ({"r1": np.inf}, {}, "r1 must be finite and positive, got inf"),
+    ({"r2": -1.0}, {}, "r2 must be finite and positive"),
+    ({"Pr": 0.0}, {}, "Pr must be finite and positive"),
+    ({}, {"St": np.nan}, "St must be finite and positive"),
+    ({}, {"St": np.inf}, "St must be finite and positive"),
+    ({"Re": 1e200, "Pr": 1e200}, {}, "shedding frequency inf is out of range"),
+    ({}, {"initial_window": np.nan}, "initial_window must be finite and positive"),
+    ({}, {"initial_window": 0.0}, "initial_window must be finite and positive"),
+    ({}, {"step_size": np.nan}, "step_size must be finite and positive"),
+    ({}, {"step_size": 0.0}, "step_size must be finite and positive"),
+    ({}, {"step_size": -1.0}, "step_size must be finite and positive"),
+    ({}, {"threshold": np.nan}, "threshold must be finite and positive"),
+    ({}, {"threshold": 0.0}, "threshold must be finite and positive"),
+    ({}, {"growth": np.nan}, "growth must be finite and nonnegative"),
+    ({}, {"growth": -0.05}, "growth must be finite and nonnegative"),
+    ({}, {"activation": np.nan}, "activation must be finite and nonnegative"),
+    ({}, {"activation": np.inf}, "activation must be finite and nonnegative"),
+])
+def test_detection_rejects_out_of_domain_inputs(meta, kwargs, message):
+    t = np.linspace(0.0, 1.0, 11)
+    ser = series.NusseltSeries(t, np.ones_like(t), **{**META, **meta})
+    with pytest.raises(ValueError, match=message):
+        series.steady_state_detect(ser, **kwargs)
+
+
+def test_detection_accepts_zero_growth_and_activation():
+    t_vs = _tvs()
+    t = np.linspace(0.0, 20.0 * t_vs, 4001)
+    rep = series.steady_state_detect(
+        series.NusseltSeries(t, np.full_like(t, 7.0), **META),
+        growth=0.0, activation=0.0)
+    assert rep.converged
+    assert abs(rep.t_f - 7.0 * t_vs) < 1e-9 * t_vs   # k = 4: fifth window
+
+
+def _masked_window_average(times, values, t0, t1):
+    # the full-series mask the slice bounds replace
+    inside = (times > t0) & (times < t1)
+    ts = np.concatenate([[t0], times[inside], [t1]])
+    vs = np.concatenate([[np.interp(t0, times, values)], values[inside],
+                         [np.interp(t1, times, values)]])
+    return float(np.trapezoid(vs, ts) / (t1 - t0))
+
+
+def test_window_average_matches_masked_reference(rng):
+    times = np.cumsum(rng.uniform(0.1, 1.0, 200))
+    values = rng.normal(5.0, 1.0, 200)
+    # window ends on samples, between samples and beyond both ends
+    ends = np.concatenate([times[[0, 5, 50, 199]], rng.uniform(-5, 120, 40)])
+    for t0 in ends:
+        for t1 in ends[ends > t0]:
+            assert (series._window_average(times, values, t0, t1)
+                    == _masked_window_average(times, values, t0, t1))
+
+
 def test_detection_requires_metadata():
     t = np.linspace(0.0, 1.0, 100)
     ser = series.NusseltSeries(t, np.ones_like(t), Re=100.0, Pr=0.71)
@@ -138,11 +199,70 @@ def test_series_roundtrip(tmp_path):
 
 def test_duplicate_time_stamps_keep_last(tmp_path):
     p = tmp_path / "dup.csv"
-    p.write_text("# Re = 10\nt,nu\n0,1\n1,2\n1,9\n2,3\n")
-    with pytest.warns(UserWarning):
+    p.write_text("# Re = 10\nt,nu\n2,3\n1,2\n0,1\n1,9\n2,4\n1,5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         ser = series.read_series(p, Pr=0.71, r1=1.0, r2=1.0)
+    assert [str(w.message) for w in caught] == [
+        "duplicated time stamps: 3; keeping the last value of each"]
     assert np.array_equal(ser.times, [0.0, 1.0, 2.0])
-    assert ser.nu_avg[1] == 9.0
+    assert np.array_equal(ser.nu_avg, [1.0, 5.0, 4.0])
+
+
+@pytest.mark.parametrize("text", [
+    "t,nu\n# Re = 10\n0,1\n1,2.5\n",                  # metadata after the header
+    "# Re = 10\nT,NU\n0,1\n1,2.5\n",                  # upper-case header
+    "# Re = 10\r\nt,nu\r\n0,1\r\n1,2.5\r\n",          # CRLF line endings
+    "  # Re=10  \n\n t,nu\n0, 1 ,extra\n\n1,2.5 # note\n",  # spacing, blanks
+], ids=["meta-after-header", "upper-case-header", "crlf", "spacing"])
+def test_read_series_layouts(tmp_path, text):
+    p = tmp_path / "series.csv"
+    p.write_bytes(text.encode())
+    ser = series.read_series(p)
+    assert ser.Re == 10.0
+    assert np.array_equal(ser.times, [0.0, 1.0])
+    assert np.array_equal(ser.nu_avg, [1.0, 2.5])
+
+
+def _reference_read_series(path):
+    """The line-by-line parser `read_series` replaced."""
+    meta, dedup = {}, {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if "=" in line:
+                    k, v = line[1:].split("=", 1)
+                    meta[k.strip()] = v.strip()
+                continue
+            if line.lower().startswith("t,"):
+                continue
+            t_s, nu_s = line.split(",")[:2]
+            dedup[float(t_s)] = float(nu_s)
+    ts = np.array(sorted(dedup))
+    return meta, ts, np.array([dedup[t] for t in ts])
+
+
+@given(rows=st.lists(st.tuples(st.integers(-20, 20),
+                               st.floats(-1e6, 1e6, allow_nan=False)),
+                     min_size=1, max_size=30),
+       header_at=st.integers(0, 30), scale=st.sampled_from([1.0, 0.1, 1e-9]))
+def test_read_series_matches_line_parser(tmp_path_factory, rows, header_at,
+                                         scale):
+    lines = [f"{k * scale!r},{nu!r}" for k, nu in rows]
+    lines.insert(min(header_at, len(lines)), "t,nu")
+    lines.insert(header_at % (len(lines) + 1), "# Re = 42.5")
+    p = tmp_path_factory.mktemp("series") / "s.csv"
+    p.write_text("\n".join(lines) + "\n")
+    meta, ts, nus = _reference_read_series(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ser = series.read_series(p)
+    assert meta == {"Re": "42.5"} and ser.Re == 42.5
+    assert np.array_equal(ser.times, ts)
+    assert np.array_equal(ser.nu_avg, nus)
 
 
 def test_report_file(tmp_path):
