@@ -15,10 +15,8 @@ rm = corr.get_correlation("ranz_marshall")
 # --- pointwise inversion over a Reynolds sweep --------------------------
 q_true = 1.44
 res = np.geomspace(20.0, 5000.0, 9)
-qs = []
-for re in res:
-    nu, _ = corr.transform_correlation(rm, q_true, re, 0.71)
-    qs.append(ls.solve_q_pointwise(rm, ls.NuSample("demo", re, nu, 0.71)))
+nus = [corr.transform_correlation(rm, q_true, re, 0.71)[0] for re in res]
+qs = ls.solve_q(rm, res, nus, 0.71)
 print("per-Re inversions:", " ".join(f"{q:.6f}" for q in qs))
 print(f"log-average q = {ls.average_q_log(zip(res, qs)):.6f} "
       f"(generator used {q_true})")

@@ -262,9 +262,10 @@ def cmd_rhe(cfg):
     sol.write_series(os.path.join(outdir, "rhe_series.csv"))
     if cfg["snapshots"]:
         sol.write_snapshots(os.path.join(outdir, "rhe_snapshot_{:08.4f}.csv"))
-    lumped = np.exp(-cfg["B"] * gs.gamma * sol.times)
+    lumped = lcm_mod.lcm_evaluate(lcm_mod.LumpedModel(cfg["B"], gs.gamma), sol.times)
     gap = float(np.max(np.abs(sol.u_avg - lumped)))
-    phi = budget_mod.solve_phi(msh, fields).phi
+    bud = budget_mod.assemble_budget(cfg["B"], cfg["B"], gs.gamma,
+                                     budget_mod.solve_phi(msh, fields).phi)
     cv = rhe_mod.coefficient_of_variation(sol, msh)
     np.savetxt(os.path.join(outdir, "rhe_cv.csv"),
                np.column_stack([sol.snapshot_times, cv]), fmt="%.17g",
@@ -276,7 +277,7 @@ def cmd_rhe(cfg):
             ("u_min", float(sol.u_avg.min())),
             ("cv_final", float(cv[-1])),
             ("max_lcm_gap", gap),
-            ("lumping_bound", phi * cfg["B"] / (gs.gamma * math.e))]
+            ("lumping_bound", bud.lumping)]
     write_report(cfg, "rhe", rows)
 
 
@@ -323,7 +324,6 @@ LEARNQ_OPTS = [
     Opt("Re", float, None), Opt("Nu", float, None),
     Opt("Pr", float, None, help="Prandtl number (used when the samples "
         "file has no Pr column)"),
-    Opt("method", str, "auto", help="auto | golden | closed_form"),
     Opt("re_transition", float, corr_mod.RE_TRANSITION_DEFAULT),
     Opt("surrogate", str, None, help="CSV s,theta_deg,q to assemble and "
         "validate the bilinear surrogate"),
@@ -344,23 +344,20 @@ def cmd_learn_q(cfg):
             raise ConfigError("--Pr required when the samples file "
                               "has no Pr column")
         Res, Nus = data[:, 0], data[:, 1]
-        Prs = data[:, 2] if data.shape[1] > 2 else [cfg["Pr"]] * len(data)
-        qs = [ls_mod.solve_q_pointwise(corr, ls_mod.NuSample(f"row{i}", *s),
-                                       method=cfg["method"])
-              for i, s in enumerate(zip(Res, Nus, Prs))]
+        Prs = data[:, 2] if data.shape[1] > 2 else np.full(len(data), cfg["Pr"])
+        qs = ls_mod.solve_q(corr, Res, Nus, Prs)
         np.savetxt(os.path.join(outdir, "learned_q.csv"),
                    np.column_stack([Res, Nus, Prs, qs]), fmt="%.17g",
                    delimiter=",", header="Re,Nu,Pr,q", comments="")
         rows.append(("n_samples", len(qs)))
         if len(qs) >= 2:
             rows.append(("average_q_log", ls_mod.average_q_log(zip(Res, qs))))
-        elif qs:
-            rows.append(("q", qs[0]))
+        else:
+            rows.append(("q", float(qs[0])))
     elif cfg["Re"] is not None and cfg["Nu"] is not None:
         if cfg["Pr"] is None:
             raise ConfigError("--Pr is required")
-        sample = ls_mod.NuSample("cli", cfg["Re"], cfg["Nu"], cfg["Pr"])
-        q = ls_mod.solve_q_pointwise(corr, sample, method=cfg["method"])
+        q = float(ls_mod.solve_q(corr, cfg["Re"], cfg["Nu"], cfg["Pr"])[0])
         rows += [("Re", cfg["Re"]), ("Nu", cfg["Nu"]), ("Pr", cfg["Pr"]),
                  ("q", q)]
     elif cfg["surrogate"] is None:

@@ -143,12 +143,12 @@ def get_correlation(name: str, Re_tr: float = RE_TRANSITION_DEFAULT) -> Correlat
     Re_tr (transitional Reynolds number) only affects flat_plate_turbulent;
     it is configurable because only its order of magnitude is standard.
     """
+    if not 0 < Re_tr < math.inf:
+        raise ValueError("Re_tr must be finite and positive")
     if name == "flat_plate_laminar":
         return Correlation(name, _flat_plate_laminar, (0.0, 1.0e5),
                            (0.6, math.inf), "plate_length")
     if name == "flat_plate_turbulent":
-        if Re_tr <= 0:
-            raise ValueError("Re_tr must be positive")
         base = 0.664 * math.sqrt(Re_tr)
 
         def turb(Re, Pr, _b=base, _rt=Re_tr):

@@ -78,7 +78,7 @@ def _per_tri(mesh, table, what):
     return out
 
 
-def eta_variation(mesh: Mesh2D, kind: str, normalize: bool = True) -> np.ndarray:
+def eta_variation(mesh: Mesh2D, kind: str) -> np.ndarray:
     """Reference boundary-conductance shapes on the canonical domains.
 
     Evaluated in centered coordinates scaled by the domain diameter,
@@ -90,7 +90,7 @@ def eta_variation(mesh: Mesh2D, kind: str, normalize: bool = True) -> np.ndarray
       step        0 for yt < 0, 2 for yt >= 0 (per-edge side values; the jump
                   vertices carry both one-sided values)
 
-    With normalize=True the result has perimeter mean exactly 1.
+    Each is divided by its perimeter mean, so the result has mean 1.
     """
     if kind not in ETA_VARIATIONS:
         raise ValueError(f"unknown eta variation {kind!r}; choose from {ETA_VARIATIONS}")
@@ -108,9 +108,7 @@ def eta_variation(mesh: Mesh2D, kind: str, normalize: bool = True) -> np.ndarray
         ymid = ev[:, :, 1].mean(axis=1)
         side = np.where(ymid >= 0.0, 2.0, 0.0)
         eta = np.repeat(side[:, None], 2, axis=1)
-    if normalize:
-        eta = eta / boundary_mean(mesh, eta)
-    return eta
+    return eta / boundary_mean(mesh, eta)
 
 
 # ------------------------------------------------------------------ field stats

@@ -87,13 +87,9 @@ def time_scales(r1: float, r2: float, Re: float, Pr: float,
     reaches its (quasi-)steady state long before the solid cools.
     """
     for name, v in (("r1", r1), ("r2", r2), ("Re", Re), ("Pr", Pr)):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
-    if B < 0:
-        raise ValueError("B must be nonnegative")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
     tau_conv = r1 / (r2 * Re * Pr)
-    tau_eq = np.inf if B == 0.0 else 1.0 / (B * gamma)
+    tau_eq = LumpedModel(B, gamma).tau_eq
     return TimeScaleReport(tau_conv=tau_conv, tau_eq_L=tau_eq,
                            ratio=tau_eq / tau_conv)

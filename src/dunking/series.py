@@ -111,6 +111,9 @@ def vortex_frequency(St: float, r1: float, r2: float, Re: float, Pr: float):
     return f_vs, 1.0 / f_vs
 
 
+MAX_WINDOWS = 100_000
+
+
 @dataclasses.dataclass
 class SteadyStateReport:
     t_vs: float
@@ -150,7 +153,8 @@ def steady_state_detect(series: NusseltSeries, St: float = 0.2,
     mean of the four consecutive relative changes among the last five
     window averages below `threshold` -- is armed only once the window end
     passes `activation`.  A series too short to converge yields a
-    not-converged report rather than an error.
+    not-converged report rather than an error; a schedule of more than
+    MAX_WINDOWS windows is rejected before any window is averaged.
     """
     if None in (series.Re, series.Pr, series.r1, series.r2):
         raise ValueError("series metadata (Re, Pr, r1, r2) is required")
@@ -163,38 +167,32 @@ def steady_state_detect(series: NusseltSeries, St: float = 0.2,
             raise ValueError(f"{name} must be finite and nonnegative, got {v}")
     _, t_vs = vortex_frequency(St, series.r1, series.r2, series.Re, series.Pr)
 
-    t = series.times
-    nu = series.nu_avg
-    t_end = t[-1]
-    hist = []
-    averages = []
-    converged = False
-    t_f = None
-    nu_stavg = None
-    k = 0
-    while True:
-        window_end = (initial_window + k * step_size) * t_vs
-        width = (initial_window + k * growth) * t_vs
-        if window_end > t_end + 1e-12 * max(t_end, 1.0):
-            break
-        avg = _window_average(t, nu, window_end - width, window_end)
-        averages.append(avg)
-        crit = math.nan
-        if len(averages) >= 5 and window_end > activation * t_vs:
-            a = averages[-5:]
-            deltas = [abs(a[i + 1] - a[i]) / abs(a[i]) for i in range(4)]
-            crit = sum(deltas) / 4.0
-        hist.append((k, window_end, width, avg, crit))
-        if not math.isnan(crit) and crit < threshold:
-            converged = True
-            t_f = window_end
-            nu_stavg = avg
-            break
-        k += 1
-
+    k = np.arange(MAX_WINDOWS + 1)
+    ends = (initial_window + k * step_size) * t_vs
+    inside = ends <= series.times[-1] + 1e-12 * max(series.times[-1], 1.0)
+    if inside.all():
+        raise ValueError(f"the window schedule has more than {MAX_WINDOWS} "
+                         "windows; use a larger step_size")
+    count = np.argmin(inside)  # the first window that ends past the series
+    k, ends = k[:count], ends[:count]
+    widths = (initial_window + k * growth) * t_vs
+    avg = np.array([_window_average(series.times, series.nu_avg, e - w, e)
+                    for e, w in zip(ends, widths)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.abs(np.diff(avg)) / np.abs(avg[:-1])
+    crit = np.full(len(k), np.nan)
+    crit[4:] = (rel[:-3] + rel[1:-2] + rel[2:-1] + rel[3:]) / 4.0
+    armed = ends > activation * t_vs
+    crit[~armed] = np.nan
+    hits = np.flatnonzero(crit < threshold)
+    n = hits[0] + 1 if hits.size else len(k)
+    if not np.isfinite(crit[4:n][armed[4:n]]).all():
+        raise FloatingPointError("a relative change of the window averages "
+                                 "is not finite (a zero or infinite average)")
+    t_f, nu_stavg = (float(ends[n - 1]), float(avg[n - 1])) if hits.size else (None, None)
     return SteadyStateReport(
-        t_vs=t_vs, converged=converged, t_f=t_f, nu_stavg=nu_stavg,
-        history=np.array(hist) if hist else np.empty((0, 5)),
+        t_vs=t_vs, converged=bool(hits.size), t_f=t_f, nu_stavg=nu_stavg,
+        history=np.column_stack([k, ends, widths, avg, crit])[:n],
         initial_window=initial_window * t_vs, step_size=step_size * t_vs,
         growth=growth * t_vs, activation_time=activation * t_vs,
         threshold=threshold)

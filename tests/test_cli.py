@@ -1,4 +1,6 @@
 """Command-line driver: option handling, artifacts, exit codes."""
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -196,6 +198,14 @@ SERIES_META = "# Re = 100\n# Pr = 0.71\n# r1 = 0.5\n# r2 = 2.0\nt,nu\n"
     ("learn-q", "--correlation", "ranz_marshall", "--Re", "100", "--Nu",
      "nan", "--Pr", "0.71"),
     ("lcm", "--B", "0.05", "--gamma", "2", "--t-f", "nan"),
+    *[("lcm", "--B", "0.05", "--gamma", "2", "--r1", "1", "--r2", "1",
+       "--Re", "100", "--Pr", "0.71", flag, value)
+      for flag in ("--Re", "--Pr", "--r1", "--r2") for value in ("nan", "inf")],
+    *[(*command, "flat_plate_turbulent", "--Re", "1e6", "--Pr", "0.7",
+       "--re-transition", value)
+      for command in (("correlate", "--name"),
+                      ("learn-q", "--Nu", "1e3", "--correlation"))
+      for value in ("nan", "inf")],
     *[("steady-state", "--series", "SERIES", flag, value)
       for flag, value in (("--Re", "nan"), ("--St", "nan"), ("--St", "inf"),
                           ("--r1", "inf"), ("--step-size", "nan"),
@@ -210,6 +220,77 @@ def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
                                          for k in range(101)))
     code, _ = run(tmp_path, *[str(src) if a == "SERIES" else a for a in argv])
     assert code == 2
+
+
+def test_window_schedule_cap_is_config_error(tmp_path, capsys):
+    src = tmp_path / "series.csv"
+    src.write_text(SERIES_META + "".join(f"{k / 100},7.25\n"
+                                         for k in range(101)))
+    code, _ = run(tmp_path, "steady-state", "--series", str(src),
+                  "--step-size", "1e-20")
+    assert code == 2
+    assert "more than 100000 windows" in capsys.readouterr().err
+
+
+# Per command, base argvs that reach each of its float options; a flag a
+# base does not name is appended to the first base.  correlate runs without
+# --r2, so that its report shows the correlation's own Nu.
+BOUNDARY_BASES = {
+    "bounds": [["--B", "0.068", "--B-est", "0.0678", "--gamma", "4", "--phi",
+                "1.1", "--volume", "1", "--eta-l1l1", "0.1", "--phi111",
+                "0.5", "--gamma-over-lambda", "2", "--gamma-sq-over-mu", "1",
+                "--var-eta", "0.1", "--var-sigma", "0.1"]],
+    "rhe": [["--shape", "square", "--levels", "1", "--B", "0.04", "--t-f",
+             "1", "--steps", "20", "--max-snapshots", "5"]],
+    "lcm": [["--B", "0.0678", "--gamma", "4", "--t-f", "1", "--steps", "10",
+             "--r1", "1", "--r2", "0.822", "--Re", "143", "--Pr", "0.71"]],
+    "learn-q": [["--correlation", "flat_plate_turbulent", "--Re", "1e6",
+                 "--Nu", "1e3", "--Pr", "0.7", "--surrogate", "GRID",
+                 "--eval-s", "2", "--eval-theta", "30"]],
+    "fit-shape": [["--generate", "spheroid", "--a", "2", "--b", "1",
+                   "--theta", "30", "--n", "50"],
+                  ["--generate", "cuboid", "--lx", "2", "--ly", "1", "--lz",
+                   "1", "--n", "50"]],
+    "steady-state": [["--series", "SERIES"]],
+    "correlate": [["--name", "flat_plate_turbulent", "--Re", "1e6", "--Pr",
+                   "0.7"]],
+}
+
+
+def _boundary_cases():
+    for command, (_, opts, _) in cli.COMMANDS.items():
+        for opt in opts:
+            if opt.typ is float:
+                bases = BOUNDARY_BASES[command]
+                base = next((b for b in bases if opt.flag in b), bases[0])
+                for value in ("nan", "inf"):
+                    yield pytest.param(command, base, f"{opt.flag}={value}",
+                                       id=f"{command}{opt.flag}={value}")
+
+
+@pytest.mark.parametrize("command,base,flag", _boundary_cases())
+def test_nonfinite_flag_never_reported(tmp_path, command, base, flag):
+    """Every float option, set to nan or inf, either fails the run or
+    leaves only finite numbers in the report."""
+    files = {"SERIES": ("series.csv", SERIES_META + "".join(
+                 f"{k / 100},7.25\n" for k in range(101))),
+             "GRID": ("grid.csv", "s,theta_deg,q\n1,0,1\n1,90,2\n"
+                                  "4,0,1.5\n4,90,2.5\n")}
+    argv = []
+    for arg in base:
+        if arg in files:
+            name, text = files[arg]
+            (tmp_path / name).write_text(text)
+            arg = str(tmp_path / name)
+        argv.append(arg)
+    code, out = run(tmp_path, command, *argv, flag)
+    if code == 0:
+        for key, val in _report(out, command).items():
+            try:
+                number = float(val)
+            except ValueError:
+                continue
+            assert math.isfinite(number), f"{key} = {val}"
 
 
 @pytest.mark.parametrize("command,flag,text,message", [
@@ -367,8 +448,8 @@ def _rhe_cv(tmp_path, monkeypatch):
 
 def _learned_q(tmp_path, monkeypatch):
     q = {10.0: 0.5, 100.0: 1.0 / 3.0, 1000.0: 2.0}
-    monkeypatch.setattr(cli.ls_mod, "solve_q_pointwise",
-                        lambda corr, sample, method: q[sample.Re])
+    monkeypatch.setattr(cli.ls_mod, "solve_q",
+                        lambda corr, Re, Nu, Pr: np.array([q[r] for r in Re]))
     src = tmp_path / "samples.csv"
     src.write_text("Re,Nu\n10,2\n100,5.5\n1000,20\n")
     return _cli_csv(tmp_path, "learned_q.csv", "learn-q", "--correlation",

@@ -80,6 +80,10 @@ def test_unknown_correlation_name():
 def test_transition_reynolds_must_be_positive():
     with pytest.raises(ValueError):
         corr.get_correlation("flat_plate_turbulent", Re_tr=0.0)
+    for name in corr.CORRELATION_NAMES:
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="Re_tr must be finite"):
+                corr.get_correlation(name, Re_tr=bad)
 
 
 # ------------------------------------------------------------ length scales

@@ -60,6 +60,11 @@ def test_validation():
         lcm.LumpedModel(B=0.1, gamma=0.0)
     with pytest.raises(ValueError):
         lcm.time_scales(r1=0.0, r2=1.0, Re=10.0, Pr=0.7, B=0.1, gamma=2.0)
+    good = dict(r1=1.0, r2=1.0, Re=10.0, Pr=0.7, B=0.1, gamma=2.0)
+    for name in good:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                lcm.time_scales(**{**good, name: bad})
     with pytest.raises(ValueError):
         lcm.lcm_evaluate(lcm.LumpedModel(B=0.1, gamma=2.0), -1.0)
     with pytest.raises(ValueError):

@@ -51,6 +51,22 @@ def test_unreachable_sample_raises_with_diagnostics():
     assert "Re=1" in msg and "churchill_bernstein" in msg
 
 
+def test_batch_names_its_unreachable_sample():
+    Re = np.array([50.0, 800.0, 1.0, 3000.0])
+    Nu = np.array([_forward(CB, 0.7, r) for r in Re])
+    Nu[2] = 1.0e9
+    with pytest.raises(ls.LearningError, match="at Re=1, Nu=1e[+]09, Pr=0.71:"):
+        ls.solve_q(CB, Re, Nu, 0.71)
+
+
+def test_batch_is_validated_before_solving():
+    # the unreachable first sample would raise LearningError if solved first
+    with pytest.raises(ValueError, match="must all be finite and positive"):
+        ls.solve_q(CB, [1.0, 10.0], [1.0e9, np.nan], 0.71)
+    with pytest.raises(ValueError, match="q Re must be finite"):
+        ls.solve_q(CB, 1.0e305, 5.0, 0.71)    # q Re overflows at q = 1e4
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         ls.NuSample("x", -1.0, 2.0, 0.71)
@@ -204,8 +220,60 @@ def test_samplers_deterministic_and_on_surface():
         ls.sample_cuboid_surface(1.0, 0.0, 1.0)
 
 
+def _scalar_log_q(c, Re, Nu, Pr):
+    """The one-sample golden-section search that solve_q replaced, through
+    the scalar correlation transform: log q."""
+    def f(x):
+        nu_hat, _ = corr.transform_correlation(c, math.exp(x), Re, Pr)
+        return (Nu - nu_hat) ** 2
+
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = math.log(ls.Q_SEARCH_RANGE[0]), math.log(ls.Q_SEARCH_RANGE[1])
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > ls.LOG_Q_TOL:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
+
+
+def test_batch_search_is_bit_identical_to_scalar_search():
+    # seeded churchill_bernstein samples with Re and q log-uniform: every q
+    # must carry the bits the one-sample search gives
+    rng = np.random.default_rng(1)
+    Re = 10.0 ** rng.uniform(1.0, 4.0, 200)
+    Nu = np.array([_forward(CB, q, r) for q, r in
+                   zip(10.0 ** rng.uniform(-0.5, 0.7, 200), Re)])
+    ref = [math.exp(_scalar_log_q(CB, r, n, 0.71)) for r, n in zip(Re, Nu)]
+    assert ls.solve_q(CB, Re, Nu, 0.71).tolist() == ref
+
+
 try:
     from hypothesis import given, strategies as st
+
+    # log10 of the native Reynolds number q Re, inside each validity range
+    LOG_RE = {"churchill_bernstein": (1.0, 6.0), "flat_plate_laminar": (1.0, 5.0),
+              "flat_plate_turbulent": (6.0, 8.0)}
+
+    @given(st.sampled_from(sorted(LOG_RE)),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+                    min_size=1, max_size=6),
+           st.floats(min_value=0.7, max_value=50.0))
+    def test_batch_search_matches_scalar_search(name, points, Pr):
+        c = corr.get_correlation(name)
+        lo, hi = LOG_RE[name]
+        q = np.array([10.0 ** v for _, v in points])
+        Re = np.array([10.0 ** (lo + u * (hi - lo)) for u, _ in points]) / q
+        Nu = np.array([_forward(c, qq, r, Pr) for qq, r in zip(q, Re)])
+        log_q = np.log(ls.solve_q(c, Re, Nu, Pr))
+        ref = [_scalar_log_q(c, r, n, Pr) for r, n in zip(Re, Nu)]
+        assert np.all(np.abs(log_q - ref) <= ls.LOG_Q_TOL)
 
     @given(st.floats(min_value=0.05, max_value=20.0),
            st.floats(min_value=10.0, max_value=8000.0),

@@ -154,6 +154,78 @@ def test_detection_accepts_zero_growth_and_activation():
     assert abs(rep.t_f - 7.0 * t_vs) < 1e-9 * t_vs   # k = 4: fifth window
 
 
+def _loop_history(ser, St=0.2, initial_window=5.0, step_size=0.5,
+                  growth=0.05, activation=7.5, threshold=1.0e-3):
+    """The one-window-at-a-time loop steady_state_detect replaced: its
+    history, kept as the reference."""
+    _, t_vs = series.vortex_frequency(St, ser.r1, ser.r2, ser.Re, ser.Pr)
+    t_end = ser.times[-1]
+    hist, averages, k = [], [], 0
+    while True:
+        window_end = (initial_window + k * step_size) * t_vs
+        width = (initial_window + k * growth) * t_vs
+        if window_end > t_end + 1e-12 * max(t_end, 1.0):
+            break
+        avg = series._window_average(ser.times, ser.nu_avg,
+                                     window_end - width, window_end)
+        averages.append(avg)
+        crit = math.nan
+        if len(averages) >= 5 and window_end > activation * t_vs:
+            a = averages[-5:]
+            crit = sum(abs(a[i + 1] - a[i]) / abs(a[i]) for i in range(4)) / 4.0
+        hist.append((k, window_end, width, avg, crit))
+        if not math.isnan(crit) and crit < threshold:
+            break
+        k += 1
+    return np.array(hist) if hist else np.empty((0, 5))
+
+
+@given(kind=st.sampled_from(["drift", "decay", "noise"]),
+       seed=st.integers(0, 2**16),
+       periods=st.floats(2.0, 30.0),
+       initial_window=st.floats(0.5, 8.0),
+       step_size=st.floats(0.05, 2.0),
+       growth=st.floats(0.0, 0.5),
+       activation=st.floats(0.0, 12.0),
+       threshold=st.floats(1e-5, 1e-1))
+def test_history_matches_window_loop(kind, seed, periods, **schedule):
+    t_vs = _tvs()
+    t = np.linspace(0.0, periods * t_vs, 1001)
+    nu = {"drift": 10.0 * (1.0 + 0.01 * t / t_vs),
+          "decay": 10.0 + 8.0 * np.exp(-t / t_vs),
+          "noise": 10.0 * (1.0 + 1e-3 * np.random.default_rng(seed)
+                           .standard_normal(len(t)))}[kind]
+    ser = series.NusseltSeries(t, nu, **META)
+    rep = series.steady_state_detect(ser, **schedule)
+    hist = _loop_history(ser, **schedule)
+    assert np.array_equal(rep.history, hist, equal_nan=True)
+    assert rep.converged == (len(hist) > 0 and hist[-1, 4] < schedule["threshold"])
+    if rep.converged:
+        assert (rep.t_f, rep.nu_stavg) == (hist[-1, 1], hist[-1, 3])
+
+
+def test_window_schedule_is_capped(monkeypatch):
+    t_vs = _tvs()
+    t = np.linspace(0.0, 10.0 * t_vs, 101)
+    ser = series.NusseltSeries(t, 10.0 * (1.0 + 0.01 * t / t_vs), **META)
+    # windows end at (5 + k/2) t_vs for k = 0..10: eleven windows
+    monkeypatch.setattr(series, "MAX_WINDOWS", 11)
+    assert len(series.steady_state_detect(ser).history) == 11
+    monkeypatch.setattr(series, "MAX_WINDOWS", 10)
+    with pytest.raises(ValueError, match="more than 10 windows"):
+        series.steady_state_detect(ser)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="more than 100000 windows"):
+        series.steady_state_detect(ser, step_size=1e-20)
+
+
+def test_zero_window_average_is_numeric_error():
+    t = np.linspace(0.0, 20.0 * _tvs(), 201)
+    with pytest.raises(ArithmeticError):
+        series.steady_state_detect(
+            series.NusseltSeries(t, np.zeros_like(t), **META))
+
+
 def _masked_window_average(times, values, t0, t1):
     # the full-series mask the slice bounds replace
     inside = (times > t0) & (times < t1)
