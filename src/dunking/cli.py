@@ -309,6 +309,10 @@ def cmd_lcm(cfg):
     t_f = cfg["t_f"]
     if t_f is None:
         t_f = 3.0 * model.tau_eq if math.isfinite(model.tau_eq) else 1.0
+    if not math.isfinite(t_f):
+        raise ConfigError("time must be finite")
+    if cfg["steps"] < 1:
+        raise ConfigError("--steps must be at least 1")
     times = np.linspace(0.0, t_f, cfg["steps"] + 1)
     vals = lcm_mod.lcm_evaluate(model, times)
     np.savetxt(os.path.join(_outdir(cfg), "lcm_series.csv"),

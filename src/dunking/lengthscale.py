@@ -20,6 +20,7 @@ from .correlations import Correlation
 
 Q_SEARCH_RANGE = (1.0e-4, 1.0e4)
 LOG_Q_TOL = 1.0e-10
+WIDTH_CHUNK = 1 << 20   # projections _widths holds at once: 8 MB of float64
 
 
 class LearningError(RuntimeError):
@@ -85,7 +86,9 @@ def solve_q(corr: Correlation, Re, Nu, Pr, method: str = "auto") -> np.ndarray:
 
     def objective(log_q):
         q = np.exp(log_q)
-        return (Nu - corr.evaluator(q * Re, Pr) / q) ** 2
+        # an overflowed square is inf, which the interior check rejects
+        with np.errstate(over="ignore"):
+            return (Nu - corr.evaluator(q * Re, Pr) / q) ** 2
 
     lo, hi = math.log(Q_SEARCH_RANGE[0]), math.log(Q_SEARCH_RANGE[1])
     L = _golden_min(objective, lo, hi, LOG_Q_TOL)
@@ -203,10 +206,19 @@ class SpheroidFit:
     theta_meaningful: bool   # False for near-spherical fits
 
 
-def _directional_width(X: np.ndarray, n: np.ndarray) -> float:
-    n = n / np.linalg.norm(n)
-    p = X @ n
-    return float(p.max() - p.min())
+def _widths(X: np.ndarray, dirs: np.ndarray):
+    """Widths max(X n) - min(X n) of the cloud along each direction: dirs of
+    shape (3,) gives a scalar, (3, k) one width per column.  The points are
+    taken in chunks, with a running max and min per direction, so at most
+    WIDTH_CHUNK projections exist at once whatever the cloud size."""
+    step = max(1, WIDTH_CHUNK // (dirs.size // 3))
+    hi = np.full(dirs.shape[1:], -np.inf)
+    lo = np.full(dirs.shape[1:], np.inf)
+    for start in range(0, len(X), step):
+        p = X[start:start + step] @ dirs
+        hi = np.maximum(hi, p.max(axis=0))
+        lo = np.minimum(lo, p.min(axis=0))
+    return hi - lo
 
 
 def _min_width(X: np.ndarray):
@@ -221,10 +233,8 @@ def _min_width(X: np.ndarray):
     T, P = np.meshgrid(th, ph, indexing="ij")
     dirs = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
                      np.cos(T)], axis=-1).reshape(-1, 3)
-    proj = X @ dirs.T
-    w = proj.max(axis=0) - proj.min(axis=0)
-    n0 = dirs[int(np.argmin(w))]
-    res = minimize(lambda v: _directional_width(X, v), n0,
+    n0 = dirs[int(np.argmin(_widths(X, dirs.T)))]
+    res = minimize(lambda v: _widths(X, v / np.linalg.norm(v)), n0,
                    method="Nelder-Mead",
                    options={"xatol": 1e-5, "fatol": 1e-12})
     n = res.x / np.linalg.norm(res.x)
@@ -260,8 +270,7 @@ def fit_spheroid(points) -> SpheroidFit:
     mw, mdir = _min_width(X)
     if prolate:
         axis = V[:, 2]
-        pa = X @ axis
-        a = float(pa.max() - pa.min()) / 2.0
+        a = float(_widths(X, axis)) / 2.0
         b = mw / 2.0
     else:
         # oblate: the thinnest direction is the symmetry axis itself
@@ -272,10 +281,9 @@ def fit_spheroid(points) -> SpheroidFit:
             e1 = np.cross(axis, [0.0, 1.0, 0.0])
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(axis, e1)
-        P = np.stack([X @ e1, X @ e2], axis=-1)
         phis = np.linspace(0.0, np.pi, 181)[:-1]
-        pr = P @ np.stack([np.cos(phis), np.sin(phis)])
-        b = float((pr.max(axis=0) - pr.min(axis=0)).mean()) / 2.0
+        ring = np.outer(e1, np.cos(phis)) + np.outer(e2, np.sin(phis))
+        b = float(_widths(X, ring).mean()) / 2.0
 
     s = a / b
     planar = math.hypot(axis[0], axis[1])
@@ -300,6 +308,8 @@ def sample_spheroid_surface(a: float, b: float, n: int = 500,
         raise ValueError("semi-axes must be finite and positive")
     if not math.isfinite(theta_deg):
         raise ValueError("angle of attack must be finite")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     wmax = b * max(a, b)
     pts = []
@@ -329,6 +339,8 @@ def sample_cuboid_surface(lx: float, ly: float, lz: float, n: int = 500,
     """Uniform-area sample of the box surface, stratified by face."""
     if not all(0 < v < math.inf for v in (lx, ly, lz)):
         raise ValueError("edge lengths must be finite and positive")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     dims = np.array([lx, ly, lz])
     areas = np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])

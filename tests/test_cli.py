@@ -1,5 +1,6 @@
 """Command-line driver: option handling, artifacts, exit codes."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,31 @@ def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
                                          for k in range(101)))
     code, _ = run(tmp_path, *[str(src) if a == "SERIES" else a for a in argv])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (("lcm", "--B", "0.05", "--gamma", "2", "--t-f", "inf"), 2,
+     "config error: time must be finite"),
+    (("lcm", "--B", "0.05", "--gamma", "2", "--steps", "0"), 2,
+     "config error: --steps must be at least 1"),
+    (("fit-shape", "--generate", "spheroid", "--n", "-5"), 2,
+     "config error: n must be at least 1, got -5"),
+    (("fit-shape", "--generate", "cuboid", "--n", "0"), 2,
+     "config error: n must be at least 1, got 0"),
+    (("learn-q", "--correlation", "churchill_bernstein", "--Re", "1e300",
+      "--Nu", "5", "--Pr", "0.71"), 3,
+     "numeric failure: no interior minimum for churchill_bernstein at Re=1e+300"),
+], ids=["lcm-t-f-inf", "lcm-steps-0", "spheroid-n-negative", "cuboid-n-0",
+        "learn-q-overflow"])
+def test_rejected_input_prints_only_its_error_line(tmp_path, capsys, argv,
+                                                   code, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _ = run(tmp_path, *argv)
+    assert got == code
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
 
 
 def test_window_schedule_cap_is_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Learned length scales: pointwise inversion, surrogate grid, spheroid fit."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,26 @@ def test_batch_is_validated_before_solving():
         ls.solve_q(CB, [1.0, 10.0], [1.0e9, np.nan], 0.71)
     with pytest.raises(ValueError, match="q Re must be finite"):
         ls.solve_q(CB, 1.0e305, 5.0, 0.71)    # q Re overflows at q = 1e4
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_dip_beside_the_settled_minimum_is_rejected(side):
+    # objective |log q - c| + 1, less 0.5 in a notch 1e-6 to one side of c:
+    # too narrow for a golden-section point, caught by the L -/+ 1e-6 check
+    c = 0.3
+
+    def notched(notch):
+        def evaluator(x, Pr):
+            L = np.log(x)
+            f = np.abs(L - c) + 1.0 - notch * (np.abs(L - c - side * 1e-6) < 1e-8)
+            return x * (1.0 - np.sqrt(f))
+        return corr.Correlation("notched", evaluator, (0.0, math.inf),
+                                (0.0, math.inf), "diameter")
+
+    q = ls.solve_q(notched(0.0), 1.0, 1.0, 0.71)[0]
+    assert abs(math.log(q) - c) < 1e-8
+    with pytest.raises(ls.LearningError, match="no interior minimum for notched"):
+        ls.solve_q(notched(0.5), 1.0, 1.0, 0.71)
 
 
 def test_sample_validation():
@@ -156,6 +177,44 @@ def test_surrogate_csv_roundtrip(tmp_path):
 
 # ------------------------------------------------------------ spheroid fit
 
+def _dense_widths(X, D):
+    P = X @ D
+    return P.max(axis=0) - P.min(axis=0)
+
+
+def _unit_dirs(rng, k):
+    D = rng.standard_normal((3, k))
+    return D / np.linalg.norm(D, axis=0)
+
+
+@pytest.mark.parametrize("k,chunks", [(1, 1), (180, 1), (180, 3), (4140, 1),
+                                      (4140, 3)])
+@pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "across"])
+def test_widths_match_dense_reduction_at_chunk_boundaries(k, chunks, extra):
+    # n one below, at and one past a whole number of point chunks
+    rng = np.random.default_rng(k)
+    n = chunks * (ls.WIDTH_CHUNK // k) + extra
+    X = rng.standard_normal((n, 3)) * [5.0, 1.0, 0.5]
+    D = _unit_dirs(rng, k)
+    ref = _dense_widths(X, D)
+    assert ls._widths(X, D).tolist() == ref.tolist()
+    if k == 1:
+        assert ls._widths(X, D[:, 0]) == ref[0]
+
+
+def test_fit_memory_is_bounded():
+    # the dense hemisphere scan held 20 000 x 4140 projections (~632 MB)
+    pts = ls.sample_spheroid_surface(5.0, 1.0, n=20000, theta_deg=30.0, seed=1)
+    tracemalloc.start()
+    try:
+        fit = ls.fit_spheroid(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(fit.s - 5.0) < 0.05
+    assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 def test_prolate_fit_recovers_shape_and_attack_angle():
     pts = ls.sample_spheroid_surface(5.0, 1.0, n=500, theta_deg=30.0, seed=11)
     fit = ls.fit_spheroid(pts)
@@ -218,6 +277,11 @@ def test_samplers_deterministic_and_on_surface():
         ls.sample_spheroid_surface(-1.0, 1.0)
     with pytest.raises(ValueError):
         ls.sample_cuboid_surface(1.0, 0.0, 1.0)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            ls.sample_spheroid_surface(2.0, 0.5, n=n)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            ls.sample_cuboid_surface(1.0, 2.0, 3.0, n=n)
 
 
 def _scalar_log_q(c, Re, Nu, Pr):
@@ -274,6 +338,13 @@ try:
         log_q = np.log(ls.solve_q(c, Re, Nu, Pr))
         ref = [_scalar_log_q(c, r, n, Pr) for r, n in zip(Re, Nu)]
         assert np.all(np.abs(log_q - ref) <= ls.LOG_Q_TOL)
+
+    @given(st.integers(1, 1200), st.integers(1, 4500), st.integers(0, 2 ** 32))
+    def test_widths_match_dense_reduction(n, k, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 3))
+        D = _unit_dirs(rng, k)
+        assert ls._widths(X, D).tolist() == _dense_widths(X, D).tolist()
 
     @given(st.floats(min_value=0.05, max_value=20.0),
            st.floats(min_value=10.0, max_value=8000.0),
