@@ -35,6 +35,14 @@ EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "DUNKING_OUTPUT_DIR"
 
+# Upper bounds on the size flags, checked before anything is allocated.  A
+# canonical mesh has ~4x the vertices of the level below (the cross at level
+# 8 has ~340 000), and a million steps or points already write a CSV of
+# tens of megabytes.
+MAX_LEVELS = 8
+MAX_STEPS = 1_000_000
+MAX_POINTS = 1_000_000
+
 
 class ConfigError(Exception):
     pass
@@ -60,12 +68,14 @@ def _to_bool(s: str) -> bool:
 
 
 class Opt:
-    def __init__(self, name, typ=float, default=None, required=False, help=""):
+    def __init__(self, name, typ=float, default=None, required=False, help="",
+                 most=None):
         self.name = name
         self.typ = typ
         self.default = default
         self.required = required
         self.help = help
+        self.most = most
 
     @property
     def flag(self):
@@ -128,6 +138,8 @@ def resolve_options(args, opts) -> dict:
             value = opt.default
         if value is None and opt.required:
             raise ConfigError(f"missing required option {opt.flag}")
+        if opt.most is not None and value is not None and value > opt.most:
+            raise ConfigError(f"{opt.flag} must be at most {opt.most}")
         resolved[opt.name] = value
     if resolved["output_dir"] is None:
         resolved["output_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
@@ -180,7 +192,7 @@ PHI_OPTS = [
     Opt("shape", str, required=True, help="disk | square | triangle | cross"),
     Opt("eta", str, "constant", help="boundary variation: constant | linear "
         "| sinusoidal | step"),
-    Opt("levels", int, 4, help="mesh refinement level"),
+    Opt("levels", int, 4, help="mesh refinement level", most=MAX_LEVELS),
 ]
 
 
@@ -240,11 +252,11 @@ def cmd_bounds(cfg):
 
 
 RHE_OPTS = [
-    Opt("shape", str, required=True), Opt("levels", int, 4),
+    Opt("shape", str, required=True), Opt("levels", int, 4, most=MAX_LEVELS),
     Opt("B", float, required=True, help="Biot number"),
     Opt("eta", str, "constant"),
     Opt("t_f", float, None, help="final time (default 3/(B*gamma))"),
-    Opt("steps", int, 2000), Opt("max_snapshots", int, 200),
+    Opt("steps", int, 2000, most=MAX_STEPS), Opt("max_snapshots", int, 200),
     Opt("snapshots", bool, False, help="also write solution snapshots"),
 ]
 
@@ -284,7 +296,7 @@ def cmd_rhe(cfg):
 LCM_OPTS = [
     Opt("B", float, required=True), Opt("gamma", float, required=True),
     Opt("t_f", float, None, help="final time (default 3*tau)"),
-    Opt("steps", int, 200),
+    Opt("steps", int, 200, most=MAX_STEPS),
     Opt("solid", str, None, help="solid material name for r1, r2 lookup"),
     Opt("fluid", str, None, help="fluid material name for r1, r2 lookup"),
     Opt("Re", float, None), Opt("Pr", float, None),
@@ -388,7 +400,8 @@ FITSHAPE_OPTS = [
     Opt("b", float, 1.0, help="equatorial semi-axis (generate spheroid)"),
     Opt("theta", float, 0.0, help="angle of attack in degrees (generate)"),
     Opt("lx", float, 1.0), Opt("ly", float, 1.0), Opt("lz", float, 1.0),
-    Opt("n", int, 500, help="number of sampled points (generate)"),
+    Opt("n", int, 500, help="number of sampled points (generate)",
+        most=MAX_POINTS),
 ]
 
 
@@ -482,7 +495,8 @@ def cmd_correlate(cfg):
     write_report(cfg, "correlate", rows)
 
 
-TABLES_OPTS = [Opt("levels", int, 6, help="mesh refinement level")]
+TABLES_OPTS = [Opt("levels", int, 6, help="mesh refinement level",
+                   most=MAX_LEVELS)]
 
 
 def cmd_tables(cfg):

@@ -9,7 +9,9 @@ the weighted average temperature
 as the quantity of interest.  Autonomous (g = 1) and time-dependent solves
 share one stepper that factors its matrix once; a step with g(t) != 1
 corrects the factored solve on the boundary nodes, where the Robin term
-lives (a Woodbury update, exact up to rounding).
+lives (a Woodbury update, exact up to rounding).  On small meshes, where a
+SuperLU call costs far more than its arithmetic, the stepper applies the
+factored operators as dense matrices built once (see DENSE_BUDGET).
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh2D, geometry_stats
 from .fem import FieldSet, assemble_forms, boundary_mass, boundary_mean, mass_matrix
 from .eigen import EigenPair
+
+# Largest n (n + nb) (n nodes, nb boundary nodes) for which _march steps with
+# dense operators.  Measured per step (2 cores, one BLAS thread), dense is
+# 2.4-3.4x faster on the disk at levels 3-4 and 1.5-1.8x at cross level 3
+# (n (n + nb) = 171 585), breaks even near 2.5e5 and is 2-4x slower at the
+# triangle's level 5 (518 241); half the break-even keeps it a win under host
+# drift, and G stays within 1 MiB.
+DENSE_BUDGET = 1 << 17
 
 
 @dataclass
@@ -116,6 +126,13 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     eigenvectors V with A1_bb C V = V diag(lam), so
     w = V diag(s / (1 + s lam)) W y_b  for W = V^T C A1_bb;
     1 + s lam > 0 because K1 + s A1 is SPD for every g >= 0.
+
+    The step operators are chosen once, before the loop.  When
+    n (n + nb) <= DENSE_BUDGET they are the dense G = K1^-1 M/dt and
+    ZV = K1^-1 P^T V, so a step is  y = G (2u - u_prev/2)  and, when s != 0,
+    y -= ZV diag(s / (1 + s lam)) W y_b: two or three small matvecs.  Above
+    the budget a step makes one or two SuperLU solves.  The two agree to
+    rounding (~1e-13 after thousands of steps).
     """
     if steps < 2:
         raise ValueError("need at least 2 time steps")
@@ -144,8 +161,14 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     K = (forms.A0 + robin.B * A1).tocsc()
     s = robin.B * (g - 1.0)
     lu = spla.splu(1.5 * M / dt + K)
+    bnd = np.unique(A1.nonzero()[0])
+    dense = n * (n + len(bnd)) <= DENSE_BUDGET
+    if dense:
+        G = lu.solve((M / dt).toarray())
+        implicit = G.__matmul__
+    else:
+        implicit = lambda v: lu.solve(M @ v / dt)
     if np.any(s[2:]):
-        bnd = np.unique(A1.nonzero()[0])
         A_bb = A1[bnd][:, bnd].toarray()
         E = np.zeros((n, len(bnd)))
         E[bnd, np.arange(len(bnd))] = 1.0
@@ -153,7 +176,14 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
         C = 0.5 * (C + C.T)
         lam, V = sla.eigh(C @ A_bb @ C, C)
         W = V.T @ C @ A_bb
-        r = np.zeros(n)  # P^T w; zero off the boundary nodes
+        if dense:
+            correct = (lu.solve(E) @ V).__matmul__
+        else:
+            r = np.zeros(n)  # P^T V w; zero off the boundary nodes
+
+            def correct(w):
+                r[bnd] = V @ w
+                return lu.solve(r)
 
     slots = _snapshot_slots(steps, max_snapshots)
     keep = set(slots.tolist())
@@ -163,16 +193,16 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     snaps = [u_prev.copy()] if 0 in keep else []
     K_be = K if s[1] == 0.0 else (forms.A0 + (robin.B * g[1]) * A1).tocsc()
     u = spla.splu(M / dt + K_be).solve(M @ u_prev / dt)
-    for k in range(1, steps + 1):
+    for k, sk in enumerate(s.tolist()[1:], start=1):
         if k > 1:
-            y = lu.solve(M @ (2.0 * u - 0.5 * u_prev) / dt)
-            if s[k] != 0.0:
-                r[bnd] = V @ (s[k] / (1.0 + s[k] * lam) * (W @ y[bnd]))
-                y -= lu.solve(r)
+            y = implicit(2.0 * u - 0.5 * u_prev)
+            if sk != 0.0:
+                y -= correct(sk / (1.0 + sk * lam) * (W @ y[bnd]))
             u_prev, u = u, y
-        u_avg[k] = c @ u / area
+        u_avg[k] = c @ u
         if k in keep:
             snaps.append(u.copy())
+    u_avg[1:] /= area
     return TransientSolution(times=times, u_avg=u_avg,
                              snapshot_times=times[slots],
                              snapshots=np.asarray(snaps))

@@ -1,5 +1,6 @@
 """Command-line driver: option handling, artifacts, exit codes."""
 import math
+import time
 import warnings
 
 import numpy as np
@@ -256,6 +257,30 @@ def test_window_schedule_cap_is_config_error(tmp_path, capsys):
                   "--step-size", "1e-20")
     assert code == 2
     assert "more than 100000 windows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag,bound", [
+    (("lcm", "--B", "0.05", "--gamma", "2", "--steps", "1000000000000"),
+     "--steps", cli.MAX_STEPS),
+    (("rhe", "--shape", "disk", "--B", "0.1", "--steps", "1000000000000"),
+     "--steps", cli.MAX_STEPS),
+    (("fit-shape", "--generate", "sphere", "--n", "1000000000000"),
+     "--n", cli.MAX_POINTS),
+    (("phi", "--shape", "disk", "--levels", "12"), "--levels",
+     cli.MAX_LEVELS),
+    (("rhe", "--shape", "disk", "--B", "0.1", "--levels", "12"), "--levels",
+     cli.MAX_LEVELS),
+    (("tables", "--levels", "12"), "--levels", cli.MAX_LEVELS),
+], ids=["lcm-steps", "rhe-steps", "fit-shape-n", "phi-levels", "rhe-levels",
+        "tables-levels"])
+def test_size_flags_are_bounded(tmp_path, capsys, argv, flag, bound):
+    start = time.perf_counter()
+    code, _ = run(tmp_path, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"config error: {flag} must be at most {bound}\n"
+    assert list(tmp_path.iterdir()) == []  # refused before any output
 
 
 # Per command, base argvs that reach each of its float options; a flag a

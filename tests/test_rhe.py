@@ -34,7 +34,8 @@ def test_maximum_principle_on_fixtures():
         gs = mesh.geometry_stats(m)
         sol = rhe.solve_rhea(m, f, rhe.RobinCoefficient(0.02 * gs.gamma,
                                                         eta=f.eta),
-                             steps=500)
+                             steps=500, max_snapshots=501)
+        assert len(sol.snapshots) == 501  # every step
         for snap in sol.snapshots:
             assert snap.min() >= -1e-8 and snap.max() <= 1.0 + 1e-8
 
@@ -67,17 +68,67 @@ def test_lumping_gap_against_sensitivity_bound(disk4):
     assert gap <= 1.05 * phi * B / (gs.gamma * np.e)
 
 
-def test_time_dependent_constant_matches_autonomous(disk4):
+def test_time_dependent_constant_matches_autonomous(disk4, monkeypatch):
     f = uniform_fields(disk4)
     gs = mesh.geometry_stats(disk4)
     B = 0.02 * gs.gamma
     t_f = 1.0 / (B * gs.gamma)
-    auto = rhe.solve_rhea(disk4, f, rhe.RobinCoefficient(B, eta=f.eta),
-                          t_f=t_f, steps=200)
-    tdep = rhe.solve_rhe_timedep(
-        disk4, f, rhe.RobinCoefficient(B, eta=f.eta, time_scale=lambda t: 1.0),
-        t_f=t_f, steps=200)
-    assert np.array_equal(auto.u_avg, tdep.u_avg)
+    for budget in (rhe.DENSE_BUDGET, 0):  # dense steps, then sparse steps
+        monkeypatch.setattr(rhe, "DENSE_BUDGET", budget)
+        auto = rhe.solve_rhea(disk4, f, rhe.RobinCoefficient(B, eta=f.eta),
+                              t_f=t_f, steps=200)
+        tdep = rhe.solve_rhe_timedep(
+            disk4, f,
+            rhe.RobinCoefficient(B, eta=f.eta, time_scale=lambda t: 1.0),
+            t_f=t_f, steps=200)
+        assert np.array_equal(auto.u_avg, tdep.u_avg)
+
+
+@pytest.mark.parametrize("shape,level", [("disk", 3), ("square", 4)])
+@pytest.mark.parametrize("oscillating", [False, True],
+                         ids=["autonomous", "oscillating"])
+def test_dense_steps_match_sparse_steps(monkeypatch, shape, level,
+                                        oscillating):
+    m = mesh.generate_canonical(shape, level)
+    f = fields_with_eta(m, "step")
+    gs = mesh.geometry_stats(m)
+    B = 0.05 * gs.gamma
+    t_f = 1.0 / (B * gs.gamma)
+    scale = None
+    if oscillating:
+        scale = lambda t: 1.0 + 0.5 * np.sin(2 * np.pi * t / (0.1 * t_f))
+    robin = rhe.RobinCoefficient(B, eta=f.eta, time_scale=scale)
+    solve = lambda: rhe._march(m, f, robin, t_f, 400, 401)
+    dense = solve()
+    monkeypatch.setattr(rhe, "DENSE_BUDGET", 0)
+    sparse = solve()
+    assert np.max(np.abs(dense.u_avg - sparse.u_avg)) <= 1e-13
+    assert np.max(np.abs(dense.snapshots - sparse.snapshots)) <= 1e-13
+
+
+@pytest.mark.parametrize("level,per_step", [(3, False), (4, False),
+                                            (5, True)])
+def test_superlu_solves_per_step_only_above_dense_budget(monkeypatch, level,
+                                                         per_step):
+    solves = []
+    splu = spla.splu
+
+    class CountingLU:
+        def __init__(self, A):
+            self.lu = splu(A)
+
+        def solve(self, rhs):
+            solves.append(rhs.shape)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(spla, "splu", CountingLU)
+    m = mesh.generate_canonical("disk", level)
+    f = uniform_fields(m)
+    robin = rhe.RobinCoefficient(
+        0.1, eta=f.eta, time_scale=lambda t: 1.0 + 0.5 * np.sin(40.0 * t))
+    rhe.solve_rhe_timedep(m, f, robin, t_f=1.0, steps=20, max_snapshots=0)
+    # two per step: the K1 solve and its boundary correction
+    assert (len(solves) >= 2 * 19) == per_step
 
 
 def _stepwise_reference(m, f, B, g, t_f, steps):
