@@ -38,10 +38,13 @@ OUTPUT_DIR_ENV = "DUNKING_OUTPUT_DIR"
 # Upper bounds on the size flags, checked before anything is allocated.  A
 # canonical mesh has ~4x the vertices of the level below (the cross at level
 # 8 has ~340 000), and a million steps or points already write a CSV of
-# tens of megabytes.
+# tens of megabytes.  The solver holds every stored snapshot (one nodal
+# field each, 34 MB per thousand on the disk at level 6) and --snapshots
+# writes one file per snapshot.
 MAX_LEVELS = 8
 MAX_STEPS = 1_000_000
 MAX_POINTS = 1_000_000
+MAX_SNAPSHOTS = 10_000
 
 
 class ConfigError(Exception):
@@ -256,7 +259,8 @@ RHE_OPTS = [
     Opt("B", float, required=True, help="Biot number"),
     Opt("eta", str, "constant"),
     Opt("t_f", float, None, help="final time (default 3/(B*gamma))"),
-    Opt("steps", int, 2000, most=MAX_STEPS), Opt("max_snapshots", int, 200),
+    Opt("steps", int, 2000, most=MAX_STEPS),
+    Opt("max_snapshots", int, 200, most=MAX_SNAPSHOTS),
     Opt("snapshots", bool, False, help="also write solution snapshots"),
 ]
 
@@ -380,9 +384,7 @@ def cmd_learn_q(cfg):
         raise ConfigError("provide --samples, or --Re with --Nu, "
                           "or --surrogate")
     if cfg["surrogate"] is not None:
-        triples = np.loadtxt(cfg["surrogate"], delimiter=",", skiprows=1,
-                             ndmin=2)
-        model = ls_mod.build_surrogate([tuple(r[:3]) for r in triples])
+        model = ls_mod.LengthScaleModel.from_csv(cfg["surrogate"])
         model.to_csv(os.path.join(outdir, "surrogate.csv"))
         rows += [("surrogate_ns", len(model.log10_s)),
                  ("surrogate_ntheta", len(model.theta_deg))]
@@ -413,7 +415,8 @@ def cmd_fit_shape(cfg):
                                                  theta_deg=cfg["theta"],
                                                  seed=cfg["seed"])
         elif kind == "sphere":
-            pts = ls_mod.sample_sphere_surface(cfg["n"], seed=cfg["seed"])
+            pts = ls_mod.sample_spheroid_surface(1.0, 1.0, n=cfg["n"],
+                                                 seed=cfg["seed"])
         elif kind == "cuboid":
             pts = ls_mod.sample_cuboid_surface(cfg["lx"], cfg["ly"],
                                                cfg["lz"], cfg["n"],

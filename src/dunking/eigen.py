@@ -16,10 +16,11 @@ spectrum and let scipy factor ``A - sigma*Mrhs``.  Mean-constrained
 problems shift by 0 and supply the inverse themselves: the bordered
 (saddle-point) factor that ``fem.factor_constrained`` builds maps x to the
 mean-zero u with ``A u + m c = x``, which is well defined although the
-stiffness alone is singular.  The caller factors once; mu, Lambda and
-every phi solve on the same mesh share that factor.  The operator
-annihilates the constants and, for the boundary mass, the interior nodes,
-so the Lanczos basis is capped at the rank of the remaining spectrum.
+stiffness alone is singular.  The caller (``budget.shape_constants``)
+factors once; mu, Lambda and every phi solve on the same mesh share it.
+The operator annihilates the constants and, for the boundary mass, the
+interior nodes, so the Lanczos basis is capped at the rank of the remaining
+spectrum.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh2D, geometry_stats
-from .fem import (ConstrainedOperator, FieldSet, assemble_forms,
-                  factor_constrained)
+from .fem import ConstrainedOperator
 
 
 @dataclass
@@ -137,27 +136,13 @@ def _check_residual(A, Mrhs, c, lam, v) -> None:
 def constrained_stability(op: ConstrainedOperator, M: sp.spmatrix,
                           A1: sp.spmatrix, gamma: float) -> StabilityConstants:
     """mu and Lambda of the factored constrained stiffness ``op`` against the
-    volume mass M and the boundary mass A1, and their ratios with gamma."""
+    volume mass M and the boundary mass A1, and the scale-invariant ratios
+    gamma^2/mu and gamma/Lambda."""
     mu = generalized_eigs(op.A, M, 1, constraint=op)[0].value
     lam = generalized_eigs(op.A, A1, 1, constraint=op)[0].value
     return StabilityConstants(mu=mu, lambda_steklov=lam,
                               gamma_sq_over_mu=gamma ** 2 / mu,
                               gamma_over_lambda=gamma / lam)
-
-
-def stability_constants(mesh: Mesh2D) -> StabilityConstants:
-    """First mean-constrained volume and boundary (Steklov) eigenvalues.
-
-    mu      = min a0(w,w) / int_Omega w^2   over volume-mean-zero w
-    Lambda  = min a0(w,w) / int_bnd  w^2    over volume-mean-zero w
-
-    and the scale-invariant ratios gamma^2/mu and gamma/Lambda built from
-    the mesh's perimeter-to-area factor gamma.
-    """
-    forms = assemble_forms(mesh, FieldSet.from_constants(mesh))
-    op = factor_constrained(forms.A0, forms.c)
-    return constrained_stability(op, forms.M, forms.A1,
-                                 geometry_stats(mesh).gamma)
 
 
 def write_eigenpairs(path, pairs: list[EigenPair], vectors_path=None) -> None:

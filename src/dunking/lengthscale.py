@@ -1,7 +1,8 @@
 """Learning length-scale ratios q from (geometry, Re, Nu) data.
 
-Pipeline: invert a reference correlation pointwise for q at each (Re, Nu)
-sample, average the pointwise values over Reynolds number in log space,
+Pipeline: invert a reference correlation for q at each (Re, Nu) sample
+(``solve_q``: closed form for Ranz-Marshall, a golden-section search over
+all samples at once for any other), average over Reynolds number in log space,
 assemble a piecewise-bilinear surrogate q(s, theta) over the aspect-ratio /
 angle-of-attack grid, and fit an equivalent spheroid to a surface point
 cloud to query the surrogate for shapes outside the trained family.
@@ -20,23 +21,11 @@ from .correlations import Correlation
 
 Q_SEARCH_RANGE = (1.0e-4, 1.0e4)
 LOG_Q_TOL = 1.0e-10
-WIDTH_CHUNK = 1 << 20   # projections _widths holds at once: 8 MB of float64
+WIDTH_CHUNK = 1 << 17   # projections _widths holds at once: 1 MiB, inside L2
 
 
 class LearningError(RuntimeError):
     """Raised when the pointwise inversion cannot bracket a minimum."""
-
-
-@dataclasses.dataclass
-class NuSample:
-    geometry_id: str
-    Re: float
-    Nu: float
-    Pr: float
-
-    def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.Re, self.Nu, self.Pr)):
-            raise ValueError("Re, Nu, Pr must all be finite and positive")
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -59,28 +48,22 @@ def _golden_min(f, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def solve_q(corr: Correlation, Re, Nu, Pr, method: str = "auto") -> np.ndarray:
+def solve_q(corr: Correlation, Re, Nu, Pr) -> np.ndarray:
     """Length-scale ratios minimizing [Nu - q^{-1} corr(q Re, Pr)]^2, one per
     sample of the broadcast 1-D arrays (Re, Nu, Pr).
 
     Searched over q in [1e-4, 1e4] (golden-section search on log q over all
-    samples at once, tolerance 1e-10).  For the Ranz-Marshall form the
-    quadratic in sqrt(q),  Nu x^2 - 0.6 sqrt(Re) Pr^(1/3) x - 2 = 0,  gives
-    the answer in closed form.
+    samples at once, tolerance 1e-10).  For ``corr.name == "ranz_marshall"``
+    the quadratic in sqrt(q),  Nu x^2 - 0.6 sqrt(Re) Pr^(1/3) x - 2 = 0,
+    gives the answer in closed form instead.
     """
     Re, Nu, Pr = np.broadcast_arrays(*np.atleast_1d(Re, Nu, Pr))
     if not all(np.all((0 < v) & (v < np.inf)) for v in (Re, Nu, Pr)):
         raise ValueError("Re, Nu, Pr must all be finite and positive")
-    if method == "auto":
-        method = "closed_form" if corr.name == "ranz_marshall" else "golden"
-    if method == "closed_form":
-        if corr.name != "ranz_marshall":
-            raise ValueError("closed form only available for ranz_marshall")
+    if corr.name == "ranz_marshall":
         c = 0.6 * np.sqrt(Re) * Pr ** (1.0 / 3.0)
         x = (c + np.sqrt(c * c + 8.0 * Nu)) / (2.0 * Nu)
         return x * x
-    if method != "golden":
-        raise ValueError(f"unknown method {method!r}")
     if np.any(Re > np.finfo(float).max / Q_SEARCH_RANGE[1]):
         raise ValueError("q Re must be finite over the whole search range")
 
@@ -105,12 +88,6 @@ def solve_q(corr: Correlation, Re, Nu, Pr, method: str = "auto") -> np.ndarray:
             f"objective {f0[i]:.3e} on [{lo:.3g}, {hi:.3g}]")
     # a scalar exp per element: the array exp can differ in the last bit
     return np.array([math.exp(x) for x in L])
-
-
-def solve_q_pointwise(corr: Correlation, sample: NuSample,
-                      method: str = "auto") -> float:
-    """solve_q for one sample."""
-    return float(solve_q(corr, sample.Re, sample.Nu, sample.Pr, method)[0])
 
 
 def average_q_log(samples) -> float:
@@ -166,7 +143,9 @@ class LengthScaleModel:
     @staticmethod
     def from_csv(path) -> "LengthScaleModel":
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return build_surrogate([(r[0], r[1], r[2]) for r in rows])
+        if len(rows) and rows.shape[1] < 3:
+            raise ValueError(f"{path}: surrogate CSV needs columns s,theta_deg,q")
+        return build_surrogate(rows[:, :3])
 
 
 def build_surrogate(per_geometry) -> LengthScaleModel:
@@ -206,22 +185,25 @@ class SpheroidFit:
     theta_meaningful: bool   # False for near-spherical fits
 
 
-def _widths(X: np.ndarray, dirs: np.ndarray):
-    """Widths max(X n) - min(X n) of the cloud along each direction: dirs of
-    shape (3,) gives a scalar, (3, k) one width per column.  The points are
-    taken in chunks, with a running max and min per direction, so at most
-    WIDTH_CHUNK projections exist at once whatever the cloud size."""
+def _widths(Xt: np.ndarray, dirs: np.ndarray):
+    """Widths max(x . n) - min(x . n) of the cloud Xt, a coordinate-major
+    (3, npts) array, along each direction: dirs of shape (3,) gives a scalar,
+    (3, k) one width per column.  Points are taken in chunks with a running
+    max and min, so at most WIDTH_CHUNK projections exist at once.  einsum on
+    this layout rounds every projection as (x0 n0 + x1 n1) + x2 n2 whatever
+    the chunk or k (a BLAS matmul need not), so the widths do not depend on
+    the chunking."""
     step = max(1, WIDTH_CHUNK // (dirs.size // 3))
     hi = np.full(dirs.shape[1:], -np.inf)
     lo = np.full(dirs.shape[1:], np.inf)
-    for start in range(0, len(X), step):
-        p = X[start:start + step] @ dirs
+    for start in range(0, Xt.shape[1], step):
+        p = np.einsum("ji,j...->i...", Xt[:, start:start + step], dirs)
         hi = np.maximum(hi, p.max(axis=0))
         lo = np.minimum(lo, p.min(axis=0))
     return hi - lo
 
 
-def _min_width(X: np.ndarray):
+def _min_width(Xt: np.ndarray):
     """Global minimum width of the cloud over all directions.
 
     Coarse hemisphere scan followed by a simplex polish; the width function
@@ -232,9 +214,9 @@ def _min_width(X: np.ndarray):
     ph = np.linspace(0.0, 2 * np.pi, 91)[:-1]
     T, P = np.meshgrid(th, ph, indexing="ij")
     dirs = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
-                     np.cos(T)], axis=-1).reshape(-1, 3)
-    n0 = dirs[int(np.argmin(_widths(X, dirs.T)))]
-    res = minimize(lambda v: _widths(X, v / np.linalg.norm(v)), n0,
+                     np.cos(T)]).reshape(3, -1)
+    n0 = dirs[:, int(np.argmin(_widths(Xt, dirs)))]
+    res = minimize(lambda v: _widths(Xt, v / np.linalg.norm(v)), n0,
                    method="Nelder-Mead",
                    options={"xatol": 1e-5, "fatol": 1e-12})
     n = res.x / np.linalg.norm(res.x)
@@ -267,10 +249,11 @@ def fit_spheroid(points) -> SpheroidFit:
         raise ValueError("degenerate covariance: points are (nearly) coplanar")
 
     prolate = (w[2] - w[1]) > (w[1] - w[0])
-    mw, mdir = _min_width(X)
+    Xt = np.ascontiguousarray(X.T)
+    mw, mdir = _min_width(Xt)
     if prolate:
         axis = V[:, 2]
-        a = float(_widths(X, axis)) / 2.0
+        a = float(_widths(Xt, axis)) / 2.0
         b = mw / 2.0
     else:
         # oblate: the thinnest direction is the symmetry axis itself
@@ -283,7 +266,7 @@ def fit_spheroid(points) -> SpheroidFit:
         e2 = np.cross(axis, e1)
         phis = np.linspace(0.0, np.pi, 181)[:-1]
         ring = np.outer(e1, np.cos(phis)) + np.outer(e2, np.sin(phis))
-        b = float(_widths(X, ring).mean()) / 2.0
+        b = float(_widths(Xt, ring).mean()) / 2.0
 
     s = a / b
     planar = math.hypot(axis[0], axis[1])
@@ -328,10 +311,6 @@ def sample_spheroid_surface(a: float, b: float, n: int = 500,
                   [math.sin(t), math.cos(t), 0.0],
                   [0.0, 0.0, 1.0]])
     return cloud @ R.T
-
-
-def sample_sphere_surface(n: int = 500, seed=None) -> np.ndarray:
-    return sample_spheroid_surface(1.0, 1.0, n=n, seed=seed)
 
 
 def sample_cuboid_surface(lx: float, ly: float, lz: float, n: int = 500,

@@ -291,10 +291,7 @@ def generate_canonical(shape: str, resolution: int = 1) -> Mesh2D:
         raise ValueError(f"unknown shape {shape!r}; choose from {CANONICAL_SHAPES}")
     if not isinstance(resolution, (int, np.integer)) or resolution < 1:
         raise ValueError("resolution must be an integer >= 1")
-    mesh = _BASE_BUILDERS[shape]()
-    for _ in range(resolution - 1):
-        mesh = refine(mesh)
-    return mesh
+    return refine(_BASE_BUILDERS[shape](), resolution - 1)
 
 
 def refine(mesh: Mesh2D, times: int = 1) -> Mesh2D:

@@ -4,6 +4,7 @@ Each test prints a single `[criterion NN] name: PASS|FAIL` line (visible
 with `pytest -s` or in the captured output) and then asserts, so a plain
 `pytest` run reports one verdict per criterion.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.linalg import solve_banded
 
-from dunking import budget, correlations, eigen, fem, lcm
+from dunking import budget, correlations, fem, lcm
 from dunking import lengthscale as ls
 from dunking import mesh as mesh_mod
 from dunking import rhe, series
@@ -92,7 +93,7 @@ def test_04_heterogeneous_bound_on_layered_cross(cross4):
 
     phi = budget.solve_phi(cross4, fields).phi
     phi111 = budget.solve_phi(cross4, uniform_fields(cross4)).phi
-    stab = eigen.stability_constants(cross4)
+    stab = budget.shape_constants(cross4, []).stability
     ub = budget.phi_upper_bound(cross4, fields, stab, phi111,
                                 var_sigma=var_sigma, var_eta=0.0)
     ok = ok and phi <= ub.bound
@@ -222,23 +223,23 @@ def test_09_short_time_asymptotics():
 
 def test_10_length_scale_learning():
     rm = correlations.get_correlation("ranz_marshall")
+    # the same correlation under another name takes the search, not the
+    # closed form
+    searched = dataclasses.replace(rm, name="ranz_marshall_searched")
     ok = True
     for q_true in (0.3, 1.44, 5.0):
         for Re in (40.0, 300.0, 2500.0):
             nu, _ = correlations.transform_correlation(rm, q_true, Re, 0.71)
-            sample = ls.NuSample("syn", Re, nu, 0.71)
-            ok = ok and abs(ls.solve_q_pointwise(rm, sample) - q_true) < 1e-6
-            qc = ls.solve_q_pointwise(rm, sample, method="closed_form")
-            qg = ls.solve_q_pointwise(rm, sample, method="golden")
-            ok = ok and abs(qc - qg) < 1e-8 * qc
+            qc = ls.solve_q(rm, Re, nu, 0.71)[0]
+            qg = ls.solve_q(searched, Re, nu, 0.71)[0]   # golden section
+            ok = ok and abs(qc - q_true) < 1e-6 and abs(qc - qg) < 1e-8 * qc
     # recovery carried through the surrogate grid nodes
     triples = []
     for s in (0.5, 1.0, 2.0):
         for th in (0.0, 45.0, 90.0):
             q_true = 0.8 + 0.4 * math.log10(s) ** 2 + th / 300.0
             nu, _ = correlations.transform_correlation(rm, q_true, 200.0, 0.71)
-            q_hat = ls.solve_q_pointwise(
-                rm, ls.NuSample(f"s{s}t{th}", 200.0, nu, 0.71))
+            q_hat = ls.solve_q(rm, 200.0, nu, 0.71)[0]
             triples.append((s, th, q_hat, q_true))
     model = ls.build_surrogate([(s, th, q) for s, th, q, _ in triples])
     for s, th, _, q_true in triples:

@@ -40,7 +40,7 @@ def test_phi_digest_tracks_inputs(disk4):
 
 def test_phi_upper_bound_formula(disk4):
     f = fields_with_eta(disk4, "linear")
-    sc = eigen.stability_constants(disk4)
+    sc = budget.shape_constants(disk4, []).stability
     phi111 = budget.solve_phi(disk4, uniform_fields(disk4)).phi
     ub = budget.phi_upper_bound(disk4, f, sc, phi111)
     expect = (math.sqrt(phi111) + math.sqrt(ub.delta_sigma)
@@ -55,7 +55,7 @@ def test_phi_upper_bound_formula(disk4):
 
 
 def test_phi_upper_bound_supplied_variances(disk4):
-    sc = eigen.stability_constants(disk4)
+    sc = budget.shape_constants(disk4, []).stability
     ub = budget.phi_upper_bound(disk4, uniform_fields(disk4), sc, 0.5,
                                 var_sigma=0.0, var_eta=0.316)
     expect = (math.sqrt(0.5) + math.sqrt(sc.gamma_over_lambda * 0.316)) ** 2
@@ -65,7 +65,10 @@ def test_phi_upper_bound_supplied_variances(disk4):
 def test_shape_constants_match_separate_solves(disk4):
     etas = [fem.eta_variation(disk4, v) for v in fem.ETA_VARIATIONS]
     sc = budget.shape_constants(disk4, etas)
-    stab = eigen.stability_constants(disk4)
+    forms = fem.assemble_forms(disk4, uniform_fields(disk4))
+    stab = eigen.constrained_stability(
+        fem.factor_constrained(forms.A0, forms.c), forms.M, forms.A1,
+        mesh.geometry_stats(disk4).gamma)
     assert sc.gamma == mesh.geometry_stats(disk4).gamma
     assert sc.phi111 == budget.solve_phi(disk4, uniform_fields(disk4)).phi
     assert sc.stability == stab

@@ -271,8 +271,10 @@ def test_window_schedule_cap_is_config_error(tmp_path, capsys):
     (("rhe", "--shape", "disk", "--B", "0.1", "--levels", "12"), "--levels",
      cli.MAX_LEVELS),
     (("tables", "--levels", "12"), "--levels", cli.MAX_LEVELS),
+    (("rhe", "--shape", "disk", "--B", "0.1", "--max-snapshots",
+      "1000000000000"), "--max-snapshots", cli.MAX_SNAPSHOTS),
 ], ids=["lcm-steps", "rhe-steps", "fit-shape-n", "phi-levels", "rhe-levels",
-        "tables-levels"])
+        "tables-levels", "rhe-max-snapshots"])
 def test_size_flags_are_bounded(tmp_path, capsys, argv, flag, bound):
     start = time.perf_counter()
     code, _ = run(tmp_path, *argv)
@@ -364,6 +366,15 @@ def test_nonfinite_file_inputs_are_config_errors(tmp_path, capsys, command,
     code, _ = run(tmp_path, command, flag, str(src))
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_two_column_surrogate_is_config_error(tmp_path, capsys):
+    src = tmp_path / "grid.csv"
+    src.write_text("s,theta_deg\n1,0\n4,90\n")
+    code, _ = run(tmp_path, "learn-q", "--correlation", "ranz_marshall",
+                  "--surrogate", str(src))
+    assert code == 2
+    assert "surrogate CSV needs columns s,theta_deg,q" in capsys.readouterr().err
 
 
 def test_negative_variance_in_bounds_is_named(tmp_path, capsys):
@@ -512,8 +523,8 @@ def _fit_points(tmp_path, monkeypatch):
                     [-1.5, 2.0, 3.0]])
     fit = lengthscale.SpheroidFit(1.0, 0.0, 1.0, 1.0, np.array([1.0, 0, 0]),
                                   False)
-    monkeypatch.setattr(cli.ls_mod, "sample_sphere_surface",
-                        lambda n, seed: pts)
+    monkeypatch.setattr(cli.ls_mod, "sample_spheroid_surface",
+                        lambda a, b, n, seed: pts)
     monkeypatch.setattr(cli.ls_mod, "fit_spheroid", lambda points: fit)
     return _cli_csv(tmp_path, "fit_points.csv", "fit-shape", "--generate",
                     "sphere")

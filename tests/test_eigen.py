@@ -58,7 +58,7 @@ def test_disk_neumann_eigenvalue_bessel_oracle(disk5):
     """
     x_star = brentq(lambda x: jvp(1, x, 1), 1.5, 2.5, xtol=1e-12)
     mu_exact = x_star ** 2
-    sc = eigen.stability_constants(disk5)
+    sc = budget.shape_constants(disk5, []).stability
     assert abs(sc.mu - mu_exact) / mu_exact < 0.01
     gs = mesh.geometry_stats(disk5)
     assert abs(sc.gamma_sq_over_mu - gs.gamma ** 2 / sc.mu) < 1e-12
@@ -66,14 +66,14 @@ def test_disk_neumann_eigenvalue_bessel_oracle(disk5):
 
 def test_disk_steklov_eigenvalue_exact(disk5):
     # first nonzero Steklov eigenvalue of the unit disk is 1/R = 1
-    sc = eigen.stability_constants(disk5)
+    sc = budget.shape_constants(disk5, []).stability
     assert abs(sc.lambda_steklov - 1.0) < 0.01
     assert abs(sc.gamma_over_lambda - 2.0) < 0.02
 
 
 def test_stability_constants_square(square4):
     # square side L: mu = (pi/L)^2, lambda = smallest positive Steklov value
-    sc = eigen.stability_constants(square4)
+    sc = budget.shape_constants(square4, []).stability
     assert abs(sc.mu - np.pi ** 2) / np.pi ** 2 < 0.01
     # reference ratio from the bundled constant table
     assert abs(sc.gamma_sq_over_mu - 1.6211389) < 0.02
@@ -150,7 +150,8 @@ def level3_constants():
     out = {}
     for shape in mesh.CANONICAL_SHAPES:
         m = mesh.generate_canonical(shape, 3)
-        out[shape] = (m, eigen.stability_constants(m), mesh.geometry_stats(m))
+        out[shape] = (m, budget.shape_constants(m, []).stability,
+                      mesh.geometry_stats(m))
     return out
 
 
@@ -166,7 +167,8 @@ def test_stability_ratios_invariant_under_similarity(level3_constants, theta,
     t = t_norm * np.array([np.cos(t_angle), np.sin(t_angle)])
     for m, sc, gs in level3_constants.values():
         moved = dataclasses.replace(m, vertices=s * m.vertices @ rot.T + t)
-        sc2, gs2 = eigen.stability_constants(moved), mesh.geometry_stats(moved)
+        sc2 = budget.shape_constants(moved, []).stability
+        gs2 = mesh.geometry_stats(moved)
         assert sc2.gamma_sq_over_mu == pytest.approx(sc.gamma_sq_over_mu, rel=1e-9)
         assert sc2.gamma_over_lambda == pytest.approx(sc.gamma_over_lambda, rel=1e-9)
         assert gs2.gamma * s == pytest.approx(gs.gamma, rel=1e-9)
