@@ -35,6 +35,10 @@ from .eigen import EigenPair
 # drift, and G stays within 1 MiB.
 DENSE_BUDGET = 1 << 17
 
+# Boundary columns per SuperLU solve when _march forms C = P K1^-1 P^T above
+# the dense budget: the n x COLUMN_BLOCK right-hand side is its peak.
+COLUMN_BLOCK = 64
+
 
 @dataclass
 class RobinCoefficient:
@@ -170,10 +174,17 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
         implicit = lambda v: lu.solve(M @ v / dt)
     if np.any(s[2:]):
         A_bb = A1[bnd][:, bnd].toarray()
-        E = np.zeros((n, len(bnd)))
-        E[bnd, np.arange(len(bnd))] = 1.0
-        Z = lu.solve(E)  # K1^-1 P^T
-        C = 0.5 * (Z[bnd] + Z[bnd].T)
+        # Z = K1^-1 P^T by column blocks, of which the sparse branch keeps
+        # only the boundary rows C; the dense branch solves all at once
+        nb = len(bnd)
+        width = nb if dense else COLUMN_BLOCK
+        C = np.empty((nb, nb))
+        for j in range(0, nb, width):
+            E = np.zeros((n, min(width, nb - j)))
+            E[bnd[j:j + width], np.arange(E.shape[1])] = 1.0
+            Z = lu.solve(E)
+            C[:, j:j + width] = Z[bnd]
+        C = 0.5 * (C + C.T)
         lam, V = sla.eigh(C @ A_bb @ C, C)
         W = V.T @ C @ A_bb
         if dense:
@@ -184,6 +195,7 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
             def correct(w):
                 r[bnd] = V @ w
                 return lu.solve(r)
+        del E, Z  # freed before the steps allocate their snapshots
 
     slots = _snapshot_slots(steps, max_snapshots)
     row = {k: i for i, k in enumerate(slots.tolist())}

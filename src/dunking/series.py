@@ -44,26 +44,45 @@ class NusseltSeries:
             raise ValueError("nu_avg contains non-finite values")
 
 
-_META_LINE = re.compile(r"^[ \t]*#[ \t]*(\w+)[ \t]*=[ \t]*(.*?)[ \t]*$",
-                        re.MULTILINE)
+_META_LINE = re.compile(r"[ \t]*#[ \t]*(\w+)[ \t]*=[ \t]*(.*?)[ \t]*")
 
 
 def _read_table(path, header: str):
-    """(metadata, body) of a numeric CSV: `# key = value` lines give the
-    metadata, lines starting with `header` (any case) are skipped, and the
-    first two columns of the other nonblank lines form the (n, 2) body."""
-    with open(path) as fh:
-        text = fh.read()
-    meta = dict(_META_LINE.findall(text))
-    # blank the header, comment and whitespace-only lines, which loadtxt
-    # would otherwise read as rows
-    text = re.sub(rf"(?im)^[ \t]*(?:(?:#|{re.escape(header)}).*)?$", "", text)
-    # an empty body is for the caller to reject; bytes, not a StringIO,
-    # which left ~45 MB resident after a 200 001-row read returned
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        body = np.loadtxt(io.BytesIO(text.encode()), delimiter=",",
-                          comments="#", usecols=(0, 1), ndmin=2)
+    """(metadata, body) of a numeric CSV from one pass over its bytes (LF,
+    CRLF or lone-CR line ends).  Only lines whose first byte cannot start a
+    number are decoded: blank ones, comments (`# key = value` is metadata)
+    and ones starting with `header` (any case) are cut, the rest are rows.
+    The first two columns form the (n, 2) body; errors name `path`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # the line ends text mode reads
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    starts = np.r_[0, np.flatnonzero(raw[:-1] == 10) + 1][:raw.size]
+    odd = starts[~np.isin(raw[starts], list(b"0123456789+-.\n"))]
+    meta, cuts = {}, [0]
+    try:
+        for start in odd.tolist():
+            stop = data.find(b"\n", start)
+            stop = len(data) if stop < 0 else stop
+            line = data[start:stop].decode()
+            head = line.lstrip(" \t")
+            if not head or head[0] == "#" or head.lower().startswith(header):
+                cuts += (start, stop)
+                if match := _META_LINE.fullmatch(line):
+                    meta[match[1]] = match[2]
+        with memoryview(data) as view:
+            body = b"".join(view[a:b] for a, b in
+                            zip(cuts[::2], cuts[1::2] + [len(data)]))
+        del data, raw
+        # an empty body is for the caller to reject; bytes, not a StringIO,
+        # which left ~45 MB resident after a 200 001-row read returned
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(io.BytesIO(body), delimiter=",", comments="#",
+                              usecols=(0, 1), ndmin=2, encoding="utf-8")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return meta, body
 
 

@@ -368,6 +368,22 @@ def test_nonfinite_file_inputs_are_config_errors(tmp_path, capsys, command,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,message", [
+    (b"0,7.25\n5\n", "invalid column index 1"),
+    (b"0,7.25\n1,abc\n", "could not convert string 'abc'"),
+    (b"0,7.25\nfoo,2\n", "could not convert string 'foo'"),
+    (b"# note = caf\xe9\n0,7.25\n", "'utf-8' codec can't decode byte 0xe9"),
+], ids=["one-field", "bad-value", "bad-stamp", "non-utf8-metadata"])
+def test_malformed_series_rows_are_config_errors(tmp_path, capsys, rows,
+                                                  message):
+    src = tmp_path / "input.csv"
+    src.write_bytes(SERIES_META.encode() + rows)
+    code, _ = run(tmp_path, "steady-state", "--series", str(src))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {src}: " in err and message in err
+
+
 def test_two_column_surrogate_is_config_error(tmp_path, capsys):
     src = tmp_path / "grid.csv"
     src.write_text("s,theta_deg\n1,0\n4,90\n")

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from dunking import budget, eigen, fem, mesh, rhe
@@ -39,6 +41,46 @@ def test_maximum_principle_on_fixtures():
         assert len(sol.snapshots) == 501  # every step
         for snap in sol.snapshots:
             assert snap.min() >= -1e-8 and snap.max() <= 1.0 + 1e-8
+
+
+@functools.cache
+def _mesh_with_longest_edge(shape, level):
+    m = mesh.generate_canonical(shape, level)
+    tri = m.vertices[m.triangles]
+    return m, np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2).max()
+
+
+@given(shape=st.sampled_from(["disk", "square", "cross"]),
+       level=st.integers(2, 3), biot=st.floats(1e-3, 1.0),
+       frac=st.floats(0.0, 1.0))
+def test_maximum_principle_where_dt_resolves_the_mesh(shape, level, biot,
+                                                      frac):
+    """0 <= u <= 1 at every step once dt >= h^2/2 (h the longest edge),
+    over the default three lumped time constants.  Consistent-mass BDF2
+    overshoots 1 below that: sampled over these meshes, the last overshoot
+    came at dt = 0.25 h^2 (cross L3), and it reached 5e-2 (square L2)."""
+    m, h = _mesh_with_longest_edge(shape, level)
+    f = uniform_fields(m)
+    gamma = mesh.geometry_stats(m).gamma
+    t_f = 3.0 / (biot * gamma * gamma)
+    most = min(2000, int(t_f / (0.5 * h * h)))  # steps with dt >= h^2/2
+    assume(most >= 2)
+    steps = 2 + int(frac * (most - 2))
+    sol = rhe.solve_rhea(m, f, rhe.RobinCoefficient(biot * gamma, eta=f.eta),
+                         steps=steps, max_snapshots=steps + 1)
+    assert sol.snapshots.min() >= -1e-8
+    assert sol.snapshots.max() <= 1.0 + 1e-8
+
+
+def test_small_steps_overshoot_one(disk3):
+    """The bound above does not hold for every dt: disk L3, B = 0.05 gamma,
+    dt = 0.054 h^2."""
+    f = uniform_fields(disk3)
+    gamma = mesh.geometry_stats(disk3).gamma
+    sol = rhe.solve_rhea(disk3, f, rhe.RobinCoefficient(0.05 * gamma,
+                                                        eta=f.eta),
+                         steps=3000, max_snapshots=3001)
+    assert 5e-4 < sol.snapshots.max() - 1.0 < 2e-3
 
 
 def _bdf2_orders(solve, m, f, robin, t_f, fine_steps):

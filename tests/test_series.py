@@ -1,5 +1,6 @@
 """Nusselt time series, steady-state detection, boundary profiles."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -286,7 +287,9 @@ def test_duplicate_time_stamps_keep_last(tmp_path):
     "# Re = 10\nT,NU\n0,1\n1,2.5\n",                  # upper-case header
     "# Re = 10\r\nt,nu\r\n0,1\r\n1,2.5\r\n",          # CRLF line endings
     "  # Re=10  \n\n t,nu\n0, 1 ,extra\n\n1,2.5 # note\n",  # spacing, blanks
-], ids=["meta-after-header", "upper-case-header", "crlf", "spacing"])
+    "# Re = 10\rt,nu\r0,1\r1,2.5\r",                 # lone-CR line endings
+], ids=["meta-after-header", "upper-case-header", "crlf", "spacing",
+        "lone-cr"])
 def test_read_series_layouts(tmp_path, text):
     p = tmp_path / "series.csv"
     p.write_bytes(text.encode())
@@ -294,6 +297,21 @@ def test_read_series_layouts(tmp_path, text):
     assert ser.Re == 10.0
     assert np.array_equal(ser.times, [0.0, 1.0])
     assert np.array_equal(ser.nu_avg, [1.0, 2.5])
+
+
+def test_read_series_memory_is_bounded(tmp_path):
+    """The reader's peak allocation stays within 2.5 file sizes."""
+    t = np.linspace(0.0, 50.0, 50_001)
+    p = tmp_path / "series.csv"
+    series.write_series(series.NusseltSeries(t, 7.0 + np.sin(t), **META), p)
+    tracemalloc.start()
+    try:
+        ser = series.read_series(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ser.times) == 50_001
+    assert peak <= 2.5 * p.stat().st_size
 
 
 def _reference_read_series(path):
@@ -418,6 +436,24 @@ def test_profile_errors():
 def test_profile_rejects_nonfinite_samples(coords, values, message):
     with pytest.raises(ValueError, match=message):
         series.eta_profile_stats(coords, values)
+
+
+@pytest.mark.parametrize("text,periodic", [
+    ("# periodic = true\r\ncoord,eta\r\n0,1\r\n1,3\r\n2,2\r\n", True),
+    ("#periodic=true\ncoord,eta\n0,1\n1,3\n2,2\n", True),
+    ("COORD,ETA\n0,1\n1,3\n2,2\n", False),
+    ("coord,eta\n0,1\n# periodic = true\n1,3\n2,2\n", True),
+], ids=["crlf", "no-spaces", "upper-case-header", "meta-after-header"])
+def test_read_profile_layouts(tmp_path, text, periodic):
+    p = tmp_path / "profile.csv"
+    p.write_bytes(text.encode())
+    prof = series.read_profile(p)
+    ref = series.eta_profile_stats([0.0, 1.0, 2.0], [1.0, 3.0, 2.0],
+                                   periodic=periodic)
+    assert prof.periodic is periodic and prof.period == ref.period
+    assert np.array_equal(prof.coords, ref.coords)
+    assert np.array_equal(prof.eta, ref.eta)
+    assert prof.variance == ref.variance
 
 
 def test_profile_roundtrip(tmp_path):
