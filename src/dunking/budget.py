@@ -21,6 +21,11 @@ On a unit-coefficient body, phi(1,1,1), mu, Lambda and every phi(eta) come
 from one operator, the mean-constrained stiffness; ``shape_constants``
 factors it once per mesh, and ``reproduce_tables`` recomputes the bundled
 reference tables from it.
+
+The finite-element layers (mesh, fem, eigen) and the scipy they load are
+imported inside the functions that solve on a mesh, so the scalar budget
+(``assemble_budget``, ``phi_bound``, ``budget_report_rows``, ``exp_gap*``,
+``short_time_asymptotics``) costs no scipy import.
 """
 
 from __future__ import annotations
@@ -29,16 +34,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mesh import GeometryStats, Mesh2D, generate_canonical, geometry_stats
-from .fem import (ETA_VARIATIONS, ConstrainedOperator, FieldSet,
-                  assemble_forms, boundary_mass, boundary_variance,
-                  eta_variation, factor_constrained, solve_constrained,
-                  volume_variance)
-from .eigen import (StabilityConstants, constrained_stability,
-                    generalized_eigs)
+if TYPE_CHECKING:
+    from .eigen import StabilityConstants
+    from .fem import ConstrainedOperator, FieldSet
+    from .mesh import GeometryStats, Mesh2D
 
 SHAPES = ("disk", "square", "triangle", "cross")
 # table row names -> canonical mesh generator names
@@ -74,6 +77,8 @@ def solve_phi(mesh: Mesh2D, fields: FieldSet) -> PhiResult:
     |bnd| * mean(eta_bar) = 0 holds exactly for normalized fields; a
     compatibility failure therefore signals an unnormalized eta_bar.
     """
+    from .fem import assemble_forms, factor_constrained
+    from .mesh import geometry_stats
     forms = assemble_forms(mesh, fields)
     op = factor_constrained(forms.A0, forms.c)
     phi, psi = _phi(mesh, op, geometry_stats(mesh), fields.eta)
@@ -84,6 +89,7 @@ def solve_phi(mesh: Mesh2D, fields: FieldSet) -> PhiResult:
 def _phi(mesh: Mesh2D, op: ConstrainedOperator, gs: GeometryStats,
          eta: np.ndarray) -> tuple[float, np.ndarray]:
     """(phi, psi) for one eta on the factored constrained stiffness."""
+    from .fem import boundary_mass, solve_constrained
     ones = np.ones(mesh.num_vertices)
     rhs = (gs.gamma * op.c - boundary_mass(mesh, eta) @ ones)
     rhs /= np.sqrt(gs.area)
@@ -126,6 +132,7 @@ def phi_upper_bound(mesh: Mesh2D, fields: FieldSet,
     quadrature unless supplied externally (e.g. from the composite-material
     formula or an assumed worst case).
     """
+    from .fem import boundary_variance, volume_variance
     if var_sigma is None:
         var_sigma = volume_variance(mesh, fields.sigma)
     if var_eta is None:
@@ -175,6 +182,9 @@ def shape_constants(mesh: Mesh2D, etas) -> ShapeConstants:
     One assembly, one geometry pass and one factorization of the
     mean-constrained stiffness serve every solve and both eigenvalues.
     """
+    from .eigen import constrained_stability
+    from .fem import FieldSet, assemble_forms, factor_constrained
+    from .mesh import geometry_stats
     uniform = FieldSet.from_constants(mesh)
     forms = assemble_forms(mesh, uniform)
     gs = geometry_stats(mesh)
@@ -196,6 +206,7 @@ def shape_constants(mesh: Mesh2D, etas) -> ShapeConstants:
 
 def canonical_mesh(shape: str, levels: int) -> Mesh2D:
     """Canonical mesh of a table shape name (or a mesh generator name)."""
+    from .mesh import generate_canonical
     return generate_canonical(_MESH_SHAPE.get(shape, shape), levels)
 
 
@@ -227,6 +238,7 @@ def reproduce_tables(levels: int = 4) -> list[tuple]:
 
 def _shape_table_rows(refs: dict, shape: str, levels: int) -> list[tuple]:
     # one shape per call, so its mesh and factor are freed before the next
+    from .fem import ETA_VARIATIONS, eta_variation
     msh = canonical_mesh(shape, levels)
     sc = shape_constants(msh, [eta_variation(msh, v) for v in ETA_VARIATIONS])
     cells = [("geometry_constants", "", "phi111", sc.phi111),
@@ -326,6 +338,9 @@ def lambda1_expansion_check(mesh: Mesh2D, fields: FieldSet,
     quadratic one should match phi; the fit has no intercept because
     lambda_1(0) = 0 exactly.
     """
+    from .eigen import generalized_eigs
+    from .fem import assemble_forms
+    from .mesh import geometry_stats
     Bs = np.asarray(B_samples, dtype=float)
     if Bs.size < 3:
         raise ValueError("need at least 3 Biot samples")

@@ -19,13 +19,11 @@ import sys
 
 import numpy as np
 
-from . import budget as budget_mod
+# budget, fem, mesh, rhe and lengthscale are imported by the subcommands
+# that use them: importing this module loads no scipy, and neither do
+# bounds, lcm, correlate, steady-state and learn-q
 from . import correlations as corr_mod
-from . import fem
 from . import lcm as lcm_mod
-from . import lengthscale as ls_mod
-from . import mesh as mesh_mod
-from . import rhe as rhe_mod
 from . import series as series_mod
 
 EXIT_OK = 0
@@ -178,6 +176,9 @@ def write_report(cfg, command, rows) -> str:
 # ------------------------------------------------------------ subcommands
 
 def _canonical_setup(shape, levels, eta_kind):
+    from . import budget as budget_mod
+    from . import fem
+    from . import mesh as mesh_mod
     if (shape not in budget_mod.SHAPES
             and shape not in mesh_mod.CANONICAL_SHAPES):
         raise ConfigError(f"unknown shape {shape!r}; choose from "
@@ -200,6 +201,7 @@ PHI_OPTS = [
 
 
 def cmd_phi(cfg):
+    from . import budget as budget_mod
     msh, fields = _canonical_setup(cfg["shape"], cfg["levels"], cfg["eta"])
     sc = budget_mod.shape_constants(msh, [fields.eta])
     ub = sc.bounds[0]
@@ -228,6 +230,7 @@ BOUNDS_OPTS = [
 
 
 def cmd_bounds(cfg):
+    from . import budget as budget_mod
     temporal = None
     if cfg["volume"] is not None or cfg["eta_l1l1"] is not None:
         if cfg["volume"] is None or cfg["eta_l1l1"] is None:
@@ -266,6 +269,9 @@ RHE_OPTS = [
 
 
 def cmd_rhe(cfg):
+    from . import budget as budget_mod
+    from . import mesh as mesh_mod
+    from . import rhe as rhe_mod
     if cfg["max_snapshots"] < 1:
         raise ConfigError("--max-snapshots must be at least 1")
     msh, fields = _canonical_setup(cfg["shape"], cfg["levels"], cfg["eta"])
@@ -352,6 +358,7 @@ LEARNQ_OPTS = [
 
 
 def cmd_learn_q(cfg):
+    from . import lengthscale as ls_mod
     corr = corr_mod.get_correlation(cfg["correlation"],
                                     Re_tr=cfg["re_transition"])
     rows = [("correlation", cfg["correlation"])]
@@ -408,6 +415,7 @@ FITSHAPE_OPTS = [
 
 
 def cmd_fit_shape(cfg):
+    from . import lengthscale as ls_mod
     if cfg["generate"] is not None:
         kind = cfg["generate"]
         if kind == "spheroid":
@@ -503,6 +511,7 @@ TABLES_OPTS = [Opt("levels", int, 6, help="mesh refinement level",
 
 
 def cmd_tables(cfg):
+    from . import budget as budget_mod
     rows = budget_mod.reproduce_tables(cfg["levels"])
     path = os.path.join(_outdir(cfg), "tables.csv")
     with open(path, "w") as fh:

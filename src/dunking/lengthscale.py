@@ -14,8 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize import minimize
 
 from .correlations import Correlation
 
@@ -124,14 +122,22 @@ class LengthScaleModel:
             raise ValueError("q grid shape does not match the axes")
         if np.any(self.q <= 0):
             raise ValueError("all q values must be positive")
-        self._interp = RegularGridInterpolator(
-            (self.log10_s, self.theta_deg), self.q,
-            method="linear", bounds_error=True)
 
     def evaluate(self, s: float, theta_deg: float) -> float:
         if s <= 0:
             raise ValueError("aspect ratio must be positive")
-        return float(self._interp([[math.log10(s), theta_deg]])[0])
+        return float(self._at(np.array([math.log10(s)]),
+                              np.array([theta_deg], dtype=float))[0])
+
+    def _at(self, log10_s: np.ndarray, theta_deg: np.ndarray) -> np.ndarray:
+        """q at each (log10 s, theta) pair.  The four corner terms are
+        rounded and summed in the order scipy's RegularGridInterpolator
+        uses, so the values equal its linear ones bit for bit."""
+        i, i1, x = _cell(self.log10_s, log10_s, "log10(s)")
+        j, j1, y = _cell(self.theta_deg, theta_deg, "theta")
+        q = self.q
+        return (q[i, j] * (1 - x) * (1 - y) + q[i, j1] * (1 - x) * y
+                + q[i1, j] * x * (1 - y) + q[i1, j1] * x * y)
 
     def to_csv(self, path) -> None:
         # a scalar power per element: the array power can differ in the last bit
@@ -146,6 +152,19 @@ class LengthScaleModel:
         if len(rows) and rows.shape[1] < 3:
             raise ValueError(f"{path}: surrogate CSV needs columns s,theta_deg,q")
         return build_surrogate(rows[:, :3])
+
+
+def _cell(axis: np.ndarray, a: np.ndarray, name: str):
+    """(i, i + 1, offset in [0, 1]) of the grid cell [axis[i], axis[i + 1]]
+    holding each a; the top node belongs to the last cell.  A one-point axis
+    is one cell of width 0: both indices 0, offset 0."""
+    if not np.all((axis[0] <= a) & (a <= axis[-1])):  # NaN fails too
+        raise ValueError(f"{name} outside the surrogate grid "
+                         f"[{axis[0]:g}, {axis[-1]:g}]")
+    i = np.clip(np.searchsorted(axis, a, "right") - 1, 0, max(len(axis) - 2, 0))
+    i1 = np.minimum(i + 1, len(axis) - 1)
+    width = axis[i1] - axis[i]
+    return i, i1, (a - axis[i]) / np.where(width > 0, width, 1.0)
 
 
 def build_surrogate(per_geometry) -> LengthScaleModel:
@@ -210,6 +229,8 @@ def _min_width(Xt: np.ndarray):
     is piecewise smooth in the direction, so this localizes the minimum
     sharply for convex clouds.
     """
+    from scipy.optimize import minimize
+
     th = np.linspace(0.0, np.pi / 2, 46)
     ph = np.linspace(0.0, 2 * np.pi, 91)[:-1]
     T, P = np.meshgrid(th, ph, indexing="ij")

@@ -16,7 +16,6 @@ import functools
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 CANONICAL_SHAPES = ("disk", "square", "equilateral_triangle", "cross")
 
@@ -146,9 +145,32 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """Indices of the convex-hull vertices of 2-D points, by Andrew's
+    monotone chain (1979): the lower, then the upper chain of the points
+    sorted by (x, y).  Points inside an edge and repeated points are left
+    out."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    pts = points[order].tolist()
+    chains = []
+    for idx in (range(len(pts)), range(len(pts) - 1, -1, -1)):
+        chain = []
+        for k in idx:
+            bx, by = pts[k]
+            while len(chain) >= 2:
+                ox, oy = pts[chain[-2]]
+                ax, ay = pts[chain[-1]]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:
+                    break
+                chain.pop()
+            chain.append(k)
+        chains += chain[:-1]  # each chain's last point starts the other
+    return order[chains]
+
+
 def _diameter(points: np.ndarray) -> float:
-    """Max pairwise distance of points not all collinear, in O(hull) memory."""
-    hull = points[ConvexHull(points).vertices]
+    """Max pairwise distance of two or more points, in O(hull) memory."""
+    hull = points[_hull_vertices(points)]
     d2 = max(((hull[i + 1:] - hull[i]) ** 2).sum(axis=1).max()
              for i in range(hull.shape[0] - 1))
     return float(np.sqrt(d2))

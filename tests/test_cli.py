@@ -1,13 +1,18 @@
 """Command-line driver: option handling, artifacts, exit codes."""
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from dunking import cli, eigen, lengthscale, rhe, series
+from dunking import cli, eigen, lcm, lengthscale, rhe, series
 from dunking import correlations as corr
 
 
@@ -136,6 +141,60 @@ def test_steady_state_command(tmp_path):
     assert abs(float(rows["t_f"]) - 8.0 * t_vs) < 1e-9
     assert abs(float(rows["nu_stavg"]) - 7.25) < 1e-9
     assert (out / "steady_state_windows.csv").exists()
+
+
+# Run in order in one fresh interpreter; the scipy modules loaded so far are
+# recorded after each run.  phi comes last: it solves on a mesh, so it must
+# load scipy, which shows that the check can see it.
+_SCIPY_PROBE = """
+import json, sys
+from dunking import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    rc = cli.main(argv)
+    loaded.append([rc, sorted(m for m in sys.modules
+                              if m.partition(".")[0] == "scipy")])
+print(json.dumps(loaded))
+"""
+
+
+def test_scalar_commands_import_no_scipy(tmp_path):
+    series_csv = tmp_path / "series.csv"
+    series_csv.write_text(SERIES_META + "".join(f"{k / 100},7.25\n"
+                                                for k in range(101)))
+    samples = tmp_path / "samples.csv"
+    samples.write_text("Re,Nu\n50,5\n150,8\n450,13\n")
+    grid = tmp_path / "grid.csv"
+    grid.write_text("s,theta_deg,q\n1,0,1\n1,90,2\n4,0,1.5\n4,90,2.5\n")
+    runs = [
+        ["bounds", "--B", "0.068", "--B-est", "0.0678", "--gamma", "4",
+         "--phi", "1.1"],
+        ["lcm", "--B", "0.0678", "--gamma", "4", "--r1", "1", "--r2",
+         "0.822", "--Re", "143", "--Pr", "0.71"],
+        ["correlate", "--name", "churchill_bernstein", "--Re", "100",
+         "--Pr", "0.71"],
+        ["steady-state", "--series", str(series_csv)],
+        ["learn-q", "--correlation", "churchill_bernstein", "--samples",
+         str(samples), "--Pr", "0.71"],
+        ["learn-q", "--correlation", "ranz_marshall", "--surrogate",
+         str(grid), "--eval-s", "2", "--eval-theta", "30"],
+        ["phi", "--shape", "disk", "--levels", "2"],
+    ]
+    runs = [argv + ["--output-dir", str(tmp_path / str(i))]
+            for i, argv in enumerate(runs)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           json.dumps(runs)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for argv, (rc, scipy_modules) in zip(runs[:-1], loaded):
+        assert rc == 0, argv
+        assert scipy_modules == [], argv
+    assert loaded[-1][0] == 0
+    assert "scipy.sparse.linalg" in loaded[-1][1]
 
 
 def test_tables_command_small_level(tmp_path):
@@ -507,7 +566,7 @@ def _cli_csv(tmp_path, name, *argv):
 
 
 def _lcm_series(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.lcm_mod, "lcm_evaluate",
+    monkeypatch.setattr(lcm, "lcm_evaluate",
                         lambda model, t: np.array([1.0, 0.1, 1e-310]))
     return _cli_csv(tmp_path, "lcm_series.csv", "lcm", "--B", "0.1",
                     "--gamma", "2", "--t-f", "1", "--steps", "2")
@@ -517,8 +576,8 @@ def _rhe_cv(tmp_path, monkeypatch):
     t = np.array([0.0, 0.5, 1.0])
     sol = rhe.TransientSolution(t, np.ones(3), snapshot_times=t,
                                 snapshots=np.ones((3, 1)))
-    monkeypatch.setattr(cli.rhe_mod, "solve_rhea", lambda *a, **k: sol)
-    monkeypatch.setattr(cli.rhe_mod, "coefficient_of_variation",
+    monkeypatch.setattr(rhe, "solve_rhea", lambda *a, **k: sol)
+    monkeypatch.setattr(rhe, "coefficient_of_variation",
                         lambda sol, mesh: np.array([0.0, 1.0 / 3.0, 2.5]))
     return _cli_csv(tmp_path, "rhe_cv.csv", "rhe", "--shape", "square",
                     "--levels", "1", "--B", "0.1")
@@ -526,7 +585,7 @@ def _rhe_cv(tmp_path, monkeypatch):
 
 def _learned_q(tmp_path, monkeypatch):
     q = {10.0: 0.5, 100.0: 1.0 / 3.0, 1000.0: 2.0}
-    monkeypatch.setattr(cli.ls_mod, "solve_q",
+    monkeypatch.setattr(lengthscale, "solve_q",
                         lambda corr, Re, Nu, Pr: np.array([q[r] for r in Re]))
     src = tmp_path / "samples.csv"
     src.write_text("Re,Nu\n10,2\n100,5.5\n1000,20\n")
@@ -539,9 +598,9 @@ def _fit_points(tmp_path, monkeypatch):
                     [-1.5, 2.0, 3.0]])
     fit = lengthscale.SpheroidFit(1.0, 0.0, 1.0, 1.0, np.array([1.0, 0, 0]),
                                   False)
-    monkeypatch.setattr(cli.ls_mod, "sample_spheroid_surface",
+    monkeypatch.setattr(lengthscale, "sample_spheroid_surface",
                         lambda a, b, n, seed: pts)
-    monkeypatch.setattr(cli.ls_mod, "fit_spheroid", lambda points: fit)
+    monkeypatch.setattr(lengthscale, "fit_spheroid", lambda points: fit)
     return _cli_csv(tmp_path, "fit_points.csv", "fit-shape", "--generate",
                     "sphere")
 

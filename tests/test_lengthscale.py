@@ -147,6 +147,41 @@ def test_surrogate_refuses_extrapolation():
         model.evaluate(-2.0, 45.0)
 
 
+def test_surrogate_equals_scipy_bilinear():
+    # scipy's interpolator is the oracle here only; the library uses numpy
+    from scipy.interpolate import RegularGridInterpolator
+    rng = np.random.default_rng(20261018)
+    xs = np.cumsum(rng.uniform(0.05, 1.0, 7)) - 2.0   # irregular log10 s
+    ts = np.cumsum(rng.uniform(1.0, 25.0, 6))         # irregular theta
+    q = rng.uniform(0.1, 3.0, (len(xs), len(ts)))
+    model = ls.LengthScaleModel(xs, ts, q)
+    oracle = RegularGridInterpolator((xs, ts), q)
+    # every node (the upper corner among them), a point inside every cell
+    # edge, then interior points
+    xs_mid = xs[:-1] + rng.random(len(xs) - 1) * np.diff(xs)
+    ts_mid = ts[:-1] + rng.random(len(ts) - 1) * np.diff(ts)
+    pairs = [np.meshgrid(xs, ts), np.meshgrid(xs, ts_mid),
+             np.meshgrid(xs_mid, ts),
+             [rng.uniform(xs[0], xs[-1], 10_000),
+              rng.uniform(ts[0], ts[-1], 10_000)]]
+    a = np.concatenate([p[0].ravel() for p in pairs])
+    t = np.concatenate([p[1].ravel() for p in pairs])
+    assert np.array_equal(model._at(a, t), oracle(np.column_stack([a, t])))
+    for s, th in zip(10.0 ** a[-100:], t[-100:]):
+        assert model.evaluate(s, th) == oracle([[math.log10(s), th]])[0]
+    # a one-point axis interpolates along the other
+    line = ls.LengthScaleModel(xs, ts[:1], q[:, :1])
+    assert np.array_equal(
+        line._at(a[-100:], np.full(100, ts[0])),
+        RegularGridInterpolator((xs, ts[:1]), q[:, :1])(
+            np.column_stack([a[-100:], np.full(100, ts[0])])))
+    for s, th in [(10.0 ** (xs[-1] + 1e-9), ts[0]), (10.0 ** xs[0], ts[-1] + 1),
+                  (math.nan, ts[0]), (10.0 ** xs[0], math.nan),
+                  (math.inf, ts[0])]:
+        with pytest.raises(ValueError, match="outside the surrogate grid"):
+            model.evaluate(s, th)
+
+
 def test_surrogate_reports_missing_grid_points():
     triples = [t for t in _grid_triples() if not (t[0] == 10.0 and t[1] == 90.0)]
     with pytest.raises(ValueError) as ei:

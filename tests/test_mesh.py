@@ -140,6 +140,19 @@ def test_diameter_matches_all_pairs(coords):
     assert mesh._diameter(pts.astype(float)) == np.sqrt(float(dense))
 
 
+@pytest.mark.parametrize("shape", mesh.CANONICAL_SHAPES)
+def test_canonical_diameter_is_max_pairwise_distance(shape):
+    m = mesh.generate_canonical(shape, 1)
+    for level in range(1, 8):
+        if level > 1:
+            m = mesh.refine(m)
+        # the farthest pair of vertices lies among the boundary vertices
+        b = m.vertices[np.unique(m.boundary_edges)]
+        d2 = max(((b[i + 1:] - b[i]) ** 2).sum(axis=1).max()
+                 for i in range(len(b) - 1))
+        assert mesh.geometry_stats(m).diameter == np.sqrt(d2), level
+
+
 def test_mesh_fields_cannot_be_assigned(square4):
     with pytest.raises(dataclasses.FrozenInstanceError):
         square4.edge_tags = np.ones_like(square4.edge_tags)
