@@ -211,7 +211,10 @@ def _widths(Xt: np.ndarray, dirs: np.ndarray):
     max and min, so at most WIDTH_CHUNK projections exist at once.  einsum on
     this layout rounds every projection as (x0 n0 + x1 n1) + x2 n2 whatever
     the chunk or k (a BLAS matmul need not), so the widths do not depend on
-    the chunking."""
+    the chunking.  That holds for C-ordered dirs only: on a Fortran-ordered
+    or strided one einsum may sum in another order and runs ~4x slower, so
+    dirs is made contiguous first."""
+    dirs = np.ascontiguousarray(dirs)
     step = max(1, WIDTH_CHUNK // (dirs.size // 3))
     hi = np.full(dirs.shape[1:], -np.inf)
     lo = np.full(dirs.shape[1:], np.inf)
@@ -222,21 +225,51 @@ def _widths(Xt: np.ndarray, dirs: np.ndarray):
     return hi - lo
 
 
+def _scan_directions() -> np.ndarray:
+    """The coarse scan's 46 x 90 hemisphere grid as a (3, 4140) array."""
+    th = np.linspace(0.0, np.pi / 2, 46)
+    ph = np.linspace(0.0, 2 * np.pi, 91)[:-1]
+    T, P = np.meshgrid(th, ph, indexing="ij")
+    return np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
+                     np.cos(T)]).reshape(3, -1)
+
+
+def _coarse_direction(Xt: np.ndarray) -> np.ndarray:
+    """The scan direction of least width, dirs[:, argmin(_widths(Xt, dirs))]
+    bit for bit, without projecting every point on every direction.
+
+    _widths rounds each projection the same whatever the point subset, so
+    over a subset the max is <= the full max and the min >= the full min,
+    and as rounding is monotone the subset's width is a lower bound of the
+    full width.  The widths of a ~1024-point strided subsample bound all
+    directions; best is the full width where that bound is least.  The
+    exhaustive argmin and every direction tied with it have lower <= full
+    <= best, so the first least full width among the candidates
+    lower <= best is at the exhaustive index.  On an elongated cloud a few
+    hundred of the 4140 directions are candidates (5:1 prolate, 20 000
+    points: ~160 -> ~15 ms on a 2-core host); on a sphere nearly all are,
+    and the scan costs one subsample pass more than the exhaustive one.
+    """
+    dirs = _scan_directions()
+    sub = np.ascontiguousarray(Xt[:, ::max(1, Xt.shape[1] // 1024)])
+    lower = _widths(sub, dirs)
+    best = _widths(Xt, dirs[:, int(np.argmin(lower))])
+    cand = np.flatnonzero(lower <= best)
+    return dirs[:, cand[int(np.argmin(_widths(Xt, dirs[:, cand])))]]
+
+
 def _min_width(Xt: np.ndarray):
     """Global minimum width of the cloud over all directions.
 
     Coarse hemisphere scan followed by a simplex polish; the width function
     is piecewise smooth in the direction, so this localizes the minimum
-    sharply for convex clouds.
+    sharply for convex clouds.  The scan prunes directions by exact lower
+    bounds and starts the polish where the exhaustive scan would (see
+    _coarse_direction; a sphere prunes none and pays one subsample pass).
     """
     from scipy.optimize import minimize
 
-    th = np.linspace(0.0, np.pi / 2, 46)
-    ph = np.linspace(0.0, 2 * np.pi, 91)[:-1]
-    T, P = np.meshgrid(th, ph, indexing="ij")
-    dirs = np.stack([np.sin(T) * np.cos(P), np.sin(T) * np.sin(P),
-                     np.cos(T)]).reshape(3, -1)
-    n0 = dirs[:, int(np.argmin(_widths(Xt, dirs)))]
+    n0 = _coarse_direction(Xt)
     res = minimize(lambda v: _widths(Xt, v / np.linalg.norm(v)), n0,
                    method="Nelder-Mead",
                    options={"xatol": 1e-5, "fatol": 1e-12})

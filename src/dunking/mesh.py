@@ -170,6 +170,8 @@ def _hull_vertices(points: np.ndarray) -> np.ndarray:
 
 def _diameter(points: np.ndarray) -> float:
     """Max pairwise distance of two or more points, in O(hull) memory."""
+    if len(points) < 2:
+        raise ValueError(f"a diameter needs two or more points, got {len(points)}")
     hull = points[_hull_vertices(points)]
     d2 = max(((hull[i + 1:] - hull[i]) ** 2).sum(axis=1).max()
              for i in range(hull.shape[0] - 1))

@@ -47,12 +47,42 @@ class NusseltSeries:
 _META_LINE = re.compile(r"[ \t]*#[ \t]*(\w+)[ \t]*=[ \t]*(.*?)[ \t]*")
 
 
+def _parse_rows(body: bytes) -> np.ndarray:
+    # an empty body is for the caller to reject; bytes, not a StringIO,
+    # which left ~45 MB resident after a 200 001-row read returned
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(io.BytesIO(body), delimiter=",", comments="#",
+                          usecols=(0, 1), ndmin=2, encoding="utf-8")
+
+
+def _first_bad_line(lines: list[bytes]) -> tuple[int, str]:
+    """(index, error) of the first of `lines` that _parse_rows rejects.
+    Rows parse independently, so a bisection parses about len(lines) lines
+    in all; the row loadtxt names counts only non-empty rows, 0- or 1-based
+    by error kind."""
+    lo, hi = 0, len(lines)  # lines[:lo] parse, lines[:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows(b"\n".join(lines[lo:mid]))
+            lo = mid
+        except ValueError:
+            hi = mid
+    try:
+        _parse_rows(lines[lo])
+    except ValueError as exc:
+        return lo, re.sub(r" at row \d+", "", str(exc))
+    raise AssertionError("a failing prefix must end in a failing line")
+
+
 def _read_table(path, header: str):
     """(metadata, body) of a numeric CSV from one pass over its bytes (LF,
     CRLF or lone-CR line ends).  Only lines whose first byte cannot start a
     number are decoded: blank ones, comments (`# key = value` is metadata)
     and ones starting with `header` (any case) are cut, the rest are rows.
-    The first two columns form the (n, 2) body; errors name `path`."""
+    The first two columns form the (n, 2) body; errors name `path` and the
+    1-based file line."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # the line ends text mode reads
@@ -61,29 +91,29 @@ def _read_table(path, header: str):
     starts = np.r_[0, np.flatnonzero(raw[:-1] == 10) + 1][:raw.size]
     odd = starts[~np.isin(raw[starts], list(b"0123456789+-.\n"))]
     meta, cuts = {}, [0]
-    try:
-        for start in odd.tolist():
-            stop = data.find(b"\n", start)
-            stop = len(data) if stop < 0 else stop
+    for start in odd.tolist():
+        stop = data.find(b"\n", start)
+        stop = len(data) if stop < 0 else stop
+        try:
             line = data[start:stop].decode()
-            head = line.lstrip(" \t")
-            if not head or head[0] == "#" or head.lower().startswith(header):
-                cuts += (start, stop)
-                if match := _META_LINE.fullmatch(line):
-                    meta[match[1]] = match[2]
-        with memoryview(data) as view:
-            body = b"".join(view[a:b] for a, b in
-                            zip(cuts[::2], cuts[1::2] + [len(data)]))
-        del data, raw
-        # an empty body is for the caller to reject; bytes, not a StringIO,
-        # which left ~45 MB resident after a 200 001-row read returned
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(io.BytesIO(body), delimiter=",", comments="#",
-                              usecols=(0, 1), ndmin=2, encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: line {data.count(10, 0, start) + 1}: "
+                             f"{exc}") from exc
+        head = line.lstrip(" \t")
+        if not head or head[0] == "#" or head.lower().startswith(header):
+            cuts += (start, stop)
+            if match := _META_LINE.fullmatch(line):
+                meta[match[1]] = match[2]
+    # a cut line leaves its line end, so body line k is file line k + 1
+    with memoryview(data) as view:
+        body = b"".join(view[a:b] for a, b in
+                        zip(cuts[::2], cuts[1::2] + [len(data)]))
+    del data, raw
+    try:
+        return meta, _parse_rows(body)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return meta, body
+        k, msg = _first_bad_line(body.split(b"\n"))
+        raise ValueError(f"{path}: line {k + 1}: {msg}") from exc
 
 
 def read_series(path, **metadata) -> NusseltSeries:

@@ -427,12 +427,18 @@ def test_nonfinite_file_inputs_are_config_errors(tmp_path, capsys, command,
     assert message in capsys.readouterr().err
 
 
+# SERIES_META takes file lines 1-5, so the first row is line 6
 @pytest.mark.parametrize("rows,message", [
-    (b"0,7.25\n5\n", "invalid column index 1"),
-    (b"0,7.25\n1,abc\n", "could not convert string 'abc'"),
-    (b"0,7.25\nfoo,2\n", "could not convert string 'foo'"),
-    (b"# note = caf\xe9\n0,7.25\n", "'utf-8' codec can't decode byte 0xe9"),
-], ids=["one-field", "bad-value", "bad-stamp", "non-utf8-metadata"])
+    (b"0,7.25\n5\n", "line 7: invalid column index 1"),
+    (b"0,7.25\n1,abc\n", "line 7: could not convert string 'abc'"),
+    (b"0,7.25\nfoo,2\n", "line 7: could not convert string 'foo'"),
+    (b"# note = caf\xe9\n0,7.25\n",
+     "line 6: 'utf-8' codec can't decode byte 0xe9 in position 12"),
+    (b"0,7.25\n\n# c\n1,2 # x\n3,4,5\n\n1,2\xff\n",
+     "line 12: 'utf-8' codec can't decode byte 0xff in position 3"),
+    (b"0,1\r\n\r\n2,x\r\n", "line 8: could not convert string 'x'"),
+], ids=["one-field", "bad-value", "bad-stamp", "non-utf8-metadata",
+        "non-utf8-row-after-cut-lines", "crlf"])
 def test_malformed_series_rows_are_config_errors(tmp_path, capsys, rows,
                                                   message):
     src = tmp_path / "input.csv"

@@ -241,9 +241,31 @@ def test_widths_match_dense_reduction_at_chunk_boundaries(k, chunks, extra):
     Xt = _coordinate_major(rng.standard_normal((n, 3)) * [5.0, 1.0, 0.5])
     D = _unit_dirs(rng, k)
     ref = _dense_widths(Xt, D)
-    assert ls._widths(Xt, D).tolist() == ref.tolist()
+    # einsum sums a Fortran-ordered or strided dirs in another order
+    wide = np.zeros((3, 2 * k))
+    wide[:, ::2] = D
+    layouts = {"C": D, "fortran": np.asfortranarray(D),
+               "fancy": wide[:, np.arange(0, 2 * k, 2)], "strided": wide[:, ::2]}
+    for name, dirs in layouts.items():
+        assert ls._widths(Xt, dirs).tolist() == ref.tolist(), name
     if k == 1:
-        assert ls._widths(Xt, D[:, 0]) == ref[0]
+        # one strided column, as fit_spheroid passes an eigenvector V[:, 2]
+        assert ls._widths(Xt, D[:, 0]) == ls._widths(Xt, wide[:, 0]) == ref[0]
+
+
+def test_fit_is_pinned_bit_for_bit():
+    # fit_spheroid's outputs on one seeded cloud, recorded before the
+    # coarse scan was pruned; the pruned scan picks the same start
+    pts = ls.sample_spheroid_surface(5.0, 1.0, n=20000, theta_deg=30.0, seed=1)
+    fit = ls.fit_spheroid(pts)
+    hexes = [fit.s, fit.theta_deg, fit.semi_axis, fit.equatorial_axis,
+             *fit.axis.tolist()]
+    assert [float.hex(v) for v in hexes] == [
+        "0x1.401abb9f18f94p+2", "0x1.ddccf01344b93p+4",
+        "0x1.3ff37a5f69732p+2", "0x1.ffc136727e0eep-1",
+        "-0x1.bc0497698ef40p-1", "-0x1.fddef08702390p-2",
+        "-0x1.ce1a105d131fap-16"]
+    assert fit.theta_meaningful
 
 
 def test_fit_memory_is_bounded():
@@ -390,6 +412,33 @@ try:
         Xt = _coordinate_major(rng.standard_normal((n, 3)))
         D = _unit_dirs(rng, k)
         assert ls._widths(Xt, D).tolist() == _dense_widths(Xt, D).tolist()
+
+    def _cloud(kind, s, n, seed, rotate):
+        rng = np.random.default_rng(seed)
+        if kind == "spheroid":
+            X = ls.sample_spheroid_surface(s, 1.0, n, seed=rng)
+        elif kind == "cuboid":
+            X = ls.sample_cuboid_surface(2.0 * s, 2.0, 2.0, n, seed=rng)
+        else:
+            X = rng.standard_normal((n, 3)) * [s, 1.0, 1.0]
+        if rotate:
+            X = X @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        return _coordinate_major(X - X.mean(axis=0))
+
+    # n below and above 2048, where the subsample stride passes 1, and
+    # n % stride == 1; unrotated cubes and spheres tie many directions
+    @given(st.sampled_from(["spheroid", "cuboid", "gaussian"]),
+           st.one_of(st.just(1.0), st.floats(0.2, 5.0)),
+           st.integers(10, 5000), st.integers(0, 2 ** 32 - 1), st.booleans())
+    @example(kind="cuboid", s=1.0, n=2049, seed=0, rotate=False)
+    @example(kind="spheroid", s=1.0, n=4097, seed=1, rotate=False)
+    @example(kind="spheroid", s=5.0, n=20000, seed=2, rotate=True)
+    @example(kind="spheroid", s=0.2, n=3000, seed=3, rotate=True)
+    def test_coarse_direction_is_exhaustive_argmin(kind, s, n, seed, rotate):
+        Xt = _cloud(kind, s, n, seed, rotate)
+        dirs = ls._scan_directions()
+        ref = dirs[:, int(np.argmin(ls._widths(Xt, dirs)))]
+        assert ls._coarse_direction(Xt).tolist() == ref.tolist()
 
     @given(st.floats(min_value=0.05, max_value=20.0),
            st.floats(min_value=10.0, max_value=8000.0),

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dunking import mesh
 
@@ -129,15 +129,20 @@ def test_read_mesh_rejects_nonfinite_vertex(tmp_path, first_vertex):
 # ------------------------------------------------ an immutable, cached value
 
 @given(st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
-                min_size=3, max_size=60))
+                min_size=2, max_size=60))
+@example([(0, 0), (1, 1), (2, 2), (3, 3)])   # collinear
+@example([(7, -3)] * 3)                      # one point repeated
 def test_diameter_matches_all_pairs(coords):
     pts = np.array(coords, dtype=np.int64)
-    d = pts[1:] - pts[0]
-    # Qhull rejects a flat set
-    assume(np.any(d[:, None, 0] * d[None, :, 1] != d[:, None, 1] * d[None, :, 0]))
     # integer coordinates make every squared distance exact
     dense = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).max()
     assert mesh._diameter(pts.astype(float)) == np.sqrt(float(dense))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_diameter_needs_two_points(n):
+    with pytest.raises(ValueError, match="two or more points"):
+        mesh._diameter(np.zeros((n, 2)))
 
 
 @pytest.mark.parametrize("shape", mesh.CANONICAL_SHAPES)
