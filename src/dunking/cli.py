@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -33,20 +34,32 @@ EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "DUNKING_OUTPUT_DIR"
 
-# Upper bounds on the size flags, checked before anything is allocated.  A
-# canonical mesh has ~4x the vertices of the level below (the cross at level
-# 8 has ~340 000), and a million steps or points already write a CSV of
-# tens of megabytes.  The solver holds every stored snapshot (one nodal
+# Upper bounds on the size options, checked before anything is allocated.
+# A canonical mesh has ~4x the vertices of the level below (the cross at
+# level 8 has ~340 000), and a million steps or points already write a CSV
+# of tens of megabytes.  The solver holds every stored snapshot (one nodal
 # field each, 34 MB per thousand on the disk at level 6) and --snapshots
 # writes one file per snapshot.
 MAX_LEVELS = 8
 MAX_STEPS = 1_000_000
 MAX_POINTS = 1_000_000
 MAX_SNAPSHOTS = 10_000
+MOST = {"levels": MAX_LEVELS, "steps": MAX_STEPS, "n": MAX_POINTS,
+        "max_snapshots": MAX_SNAPSHOTS}
+
+# options that mean nothing alone: both or neither (each of one command)
+PAIRED = [("volume", "eta_l1l1"), ("solid", "fluid"), ("eval_s", "eval_theta")]
 
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 # --------------------------------------------------------- option plumbing
@@ -65,42 +78,24 @@ def _to_bool(s: str) -> bool:
         return True
     if s in ("false", "0", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {s!r}")
+    raise argparse.ArgumentTypeError(f"not a boolean: {s!r}")
 
 
-class Opt:
-    def __init__(self, name, typ=float, default=None, required=False, help="",
-                 most=None):
-        self.name = name
-        self.typ = typ
-        self.default = default
-        self.required = required
-        self.help = help
-        self.most = most
-
-    @property
-    def flag(self):
-        return "--" + self.name.replace("_", "-")
-
-    def convert(self, raw):
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            try:
-                if self.typ is bool:
-                    return _to_bool(raw)
-                return self.typ(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {self.name}: {raw!r}") from exc
-        return raw
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-GLOBAL_OPTS = [
-    Opt("output_dir", str, None, help="output directory (default: "
-        f"${OUTPUT_DIR_ENV} or the working directory)"),
-    Opt("config", str, None, help="flat key = value config file; flags win"),
-    Opt("seed", int, 0, help="RNG seed for sampling subcommands"),
-]
+# Options, keyed by flag, as add_argument keywords; the option's name (its
+# config key and manifest entry) is the flag's dest, `--B-est` -> `B_est`.
+GLOBAL_OPTS = {
+    "--output-dir": dict(help="output directory (default: "
+                         f"${OUTPUT_DIR_ENV} or the working directory)"),
+    "--config": dict(help="flat key = value config file; flags win"),
+    "--seed": dict(type=int, default=0, help="RNG seed for sampling commands"),
+}
+
+_CONFIG_PARSER = _Parser(add_help=False)
+_CONFIG_PARSER.add_argument("--config")
 
 
 def read_config(path) -> dict:
@@ -122,29 +117,19 @@ def read_config(path) -> dict:
     return out
 
 
-def resolve_options(args, opts) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    cfg = read_config(args.config) if args.config else {}
-    known = {o.name for o in opts} | {o.name for o in GLOBAL_OPTS}
-    for key in cfg:
-        if key not in known:
+def _with_config(argv: list) -> list:
+    """argv with the --config file's entries inserted as `--key=value`
+    tokens right after the command name: the flags come later and win."""
+    path = _CONFIG_PARSER.parse_known_args(argv[1:])[0].config
+    if path is None or argv[0] not in COMMANDS:
+        return argv
+    known = {*GLOBAL_OPTS, *COMMANDS[argv[0]][1]}
+    tokens = []
+    for key, val in read_config(path).items():
+        if _flag(key) not in known:  # exactly: argparse takes `lev` for levels
             raise ConfigError(f"unknown config key: {key}")
-    resolved = {}
-    for opt in list(GLOBAL_OPTS) + list(opts):
-        raw = getattr(args, opt.name, None)
-        if raw is None and opt.name in cfg:
-            raw = cfg[opt.name]
-        value = opt.convert(raw)
-        if value is None:
-            value = opt.default
-        if value is None and opt.required:
-            raise ConfigError(f"missing required option {opt.flag}")
-        if opt.most is not None and value is not None and value > opt.most:
-            raise ConfigError(f"{opt.flag} must be at most {opt.most}")
-        resolved[opt.name] = value
-    if resolved["output_dir"] is None:
-        resolved["output_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
-    return resolved
+        tokens.append(f"{_flag(key)}={val}")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def _outdir(cfg) -> str:
@@ -157,9 +142,7 @@ def write_manifest(cfg, command) -> None:
     path = os.path.join(_outdir(cfg), f"{command}_manifest.txt")
     with open(path, "w") as fh:
         fh.write(f"command = {command}\n")
-        for key in sorted(cfg):
-            if key == "config":
-                continue
+        for key in sorted(cfg.keys() - {"config"}):
             fh.write(f"{key} = {_fmt(cfg[key])}\n")
 
 
@@ -192,12 +175,12 @@ def _canonical_setup(shape, levels, eta_kind):
     return msh, fields
 
 
-PHI_OPTS = [
-    Opt("shape", str, required=True, help="disk | square | triangle | cross"),
-    Opt("eta", str, "constant", help="boundary variation: constant | linear "
-        "| sinusoidal | step"),
-    Opt("levels", int, 4, help="mesh refinement level", most=MAX_LEVELS),
-]
+PHI_OPTS = {
+    "--shape": dict(required=True, help="disk | square | triangle | cross"),
+    "--eta": dict(default="constant", help="boundary variation: constant | "
+                  "linear | sinusoidal | step"),
+    "--levels": dict(type=int, default=4, help="mesh refinement level"),
+}
 
 
 def cmd_phi(cfg):
@@ -215,27 +198,25 @@ def cmd_phi(cfg):
     write_report(cfg, "phi", rows)
 
 
-BOUNDS_OPTS = [
-    Opt("B", float, required=True, help="true Biot number"),
-    Opt("B_est", float, required=True, help="estimated Biot number"),
-    Opt("gamma", float, required=True, help="surface-to-volume ratio"),
-    Opt("phi", float, required=True, help="sensitivity coefficient"),
-    Opt("volume", float, None, help="domain volume (temporal term)"),
-    Opt("eta_l1l1", float, None, help="||eta - eta_bar||_{L1(L1)}"),
-    Opt("phi111", float, None, help="uniform-field phi, enables phi_ub"),
-    Opt("gamma_over_lambda", float, None),
-    Opt("gamma_sq_over_mu", float, None),
-    Opt("var_eta", float, 0.0), Opt("var_sigma", float, 0.0),
-]
+BOUNDS_OPTS = {
+    "--B": dict(type=float, required=True, help="true Biot number"),
+    "--B-est": dict(type=float, required=True, help="estimated Biot number"),
+    "--gamma": dict(type=float, required=True, help="surface-to-volume ratio"),
+    "--phi": dict(type=float, required=True, help="sensitivity coefficient"),
+    "--volume": dict(type=float, help="domain volume (temporal term)"),
+    "--eta-l1l1": dict(type=float, help="||eta - eta_bar||_{L1(L1)}"),
+    "--phi111": dict(type=float, help="uniform-field phi, enables phi_ub"),
+    "--gamma-over-lambda": dict(type=float),
+    "--gamma-sq-over-mu": dict(type=float),
+    "--var-eta": dict(type=float, default=0.0),
+    "--var-sigma": dict(type=float, default=0.0),
+}
 
 
 def cmd_bounds(cfg):
     from . import budget as budget_mod
-    temporal = None
-    if cfg["volume"] is not None or cfg["eta_l1l1"] is not None:
-        if cfg["volume"] is None or cfg["eta_l1l1"] is None:
-            raise ConfigError("--volume and --eta-l1l1 must be given together")
-        temporal = (cfg["volume"], cfg["eta_l1l1"])
+    temporal = None if cfg["volume"] is None else (cfg["volume"],
+                                                    cfg["eta_l1l1"])
     bud = budget_mod.assemble_budget(cfg["B"], cfg["B_est"], cfg["gamma"],
                                      cfg["phi"], temporal_inputs=temporal,
                                      phi_provenance="supplied")
@@ -257,15 +238,16 @@ def cmd_bounds(cfg):
     write_report(cfg, "bounds", rows)
 
 
-RHE_OPTS = [
-    Opt("shape", str, required=True), Opt("levels", int, 4, most=MAX_LEVELS),
-    Opt("B", float, required=True, help="Biot number"),
-    Opt("eta", str, "constant"),
-    Opt("t_f", float, None, help="final time (default 3/(B*gamma))"),
-    Opt("steps", int, 2000, most=MAX_STEPS),
-    Opt("max_snapshots", int, 200, most=MAX_SNAPSHOTS),
-    Opt("snapshots", bool, False, help="also write solution snapshots"),
-]
+RHE_OPTS = {
+    "--shape": dict(required=True), "--levels": dict(type=int, default=4),
+    "--B": dict(type=float, required=True, help="Biot number"),
+    "--eta": dict(default="constant"),
+    "--t-f": dict(type=float, help="final time (default 3/(B*gamma))"),
+    "--steps": dict(type=int, default=2000),
+    "--max-snapshots": dict(type=int, default=200),
+    "--snapshots": dict(type=_to_bool, default=False,
+                        help="also write solution snapshots"),
+}
 
 
 def cmd_rhe(cfg):
@@ -303,22 +285,23 @@ def cmd_rhe(cfg):
     write_report(cfg, "rhe", rows)
 
 
-LCM_OPTS = [
-    Opt("B", float, required=True), Opt("gamma", float, required=True),
-    Opt("t_f", float, None, help="final time (default 3*tau)"),
-    Opt("steps", int, 200, most=MAX_STEPS),
-    Opt("solid", str, None, help="solid material name for r1, r2 lookup"),
-    Opt("fluid", str, None, help="fluid material name for r1, r2 lookup"),
-    Opt("Re", float, None), Opt("Pr", float, None),
-    Opt("r1", float, None), Opt("r2", float, None),
-]
+LCM_OPTS = {
+    "--B": dict(type=float, required=True),
+    "--gamma": dict(type=float, required=True),
+    "--t-f": dict(type=float, help="final time (default 3*tau)"),
+    "--steps": dict(type=int, default=200),
+    "--solid": dict(help="solid material name for r1, r2 lookup"),
+    "--fluid": dict(help="fluid material name for r1, r2 lookup"),
+    "--Re": dict(type=float), "--Pr": dict(type=float),
+    "--r1": dict(type=float), "--r2": dict(type=float),
+}
 
 
 def cmd_lcm(cfg):
     model = lcm_mod.LumpedModel(cfg["B"], cfg["gamma"])
     rows = [("B", cfg["B"]), ("gamma", cfg["gamma"]), ("tau", model.tau_eq)]
     r1, r2 = cfg["r1"], cfg["r2"]
-    if cfg["solid"] is not None and cfg["fluid"] is not None:
+    if cfg["solid"] is not None:
         tr1, tr2 = corr_mod.property_ratios(cfg["solid"], cfg["fluid"])
         r1 = tr1 if r1 is None else r1
         r2 = tr2 if r2 is None else r2
@@ -343,18 +326,18 @@ def cmd_lcm(cfg):
     write_report(cfg, "lcm", rows)
 
 
-LEARNQ_OPTS = [
-    Opt("correlation", str, required=True,
-        help="|".join(corr_mod.CORRELATION_NAMES)),
-    Opt("samples", str, None, help="CSV Re,Nu[,Pr] of observed pairs"),
-    Opt("Re", float, None), Opt("Nu", float, None),
-    Opt("Pr", float, None, help="Prandtl number (used when the samples "
-        "file has no Pr column)"),
-    Opt("re_transition", float, corr_mod.RE_TRANSITION_DEFAULT),
-    Opt("surrogate", str, None, help="CSV s,theta_deg,q to assemble and "
-        "validate the bilinear surrogate"),
-    Opt("eval_s", float, None), Opt("eval_theta", float, None),
-]
+LEARNQ_OPTS = {
+    "--correlation": dict(required=True, choices=corr_mod.CORRELATION_NAMES),
+    "--samples": dict(help="CSV Re,Nu[,Pr] of observed pairs"),
+    "--Re": dict(type=float), "--Nu": dict(type=float),
+    "--Pr": dict(type=float, help="Prandtl number (used when the samples "
+                 "file has no Pr column)"),
+    "--re-transition": dict(type=float,
+                            default=corr_mod.RE_TRANSITION_DEFAULT),
+    "--surrogate": dict(help="CSV s,theta_deg,q to assemble and validate "
+                        "the bilinear surrogate"),
+    "--eval-s": dict(type=float), "--eval-theta": dict(type=float),
+}
 
 
 def cmd_learn_q(cfg):
@@ -364,7 +347,7 @@ def cmd_learn_q(cfg):
     rows = [("correlation", cfg["correlation"])]
     outdir = _outdir(cfg)
     if cfg["samples"] is not None:
-        data = np.loadtxt(cfg["samples"], delimiter=",", skiprows=1, ndmin=2)
+        _, data = series_mod.read_table(cfg["samples"], "re,", None)
         if data.shape[1] < 2:
             raise ConfigError("samples CSV needs columns Re,Nu[,Pr]")
         if data.shape[1] < 3 and cfg["Pr"] is None:
@@ -395,29 +378,31 @@ def cmd_learn_q(cfg):
         model.to_csv(os.path.join(outdir, "surrogate.csv"))
         rows += [("surrogate_ns", len(model.log10_s)),
                  ("surrogate_ntheta", len(model.theta_deg))]
-        if cfg["eval_s"] is not None and cfg["eval_theta"] is not None:
+        if cfg["eval_s"] is not None:
             rows.append(("surrogate_q",
                          model.evaluate(cfg["eval_s"], cfg["eval_theta"])))
     write_report(cfg, "learn-q", rows)
 
 
-FITSHAPE_OPTS = [
-    Opt("points", str, None, help="CSV x,y,z surface point cloud"),
-    Opt("generate", str, None, help="spheroid | sphere | cuboid: sample a "
-        "synthetic cloud instead of reading --points"),
-    Opt("a", float, 1.0, help="symmetry semi-axis (generate spheroid)"),
-    Opt("b", float, 1.0, help="equatorial semi-axis (generate spheroid)"),
-    Opt("theta", float, 0.0, help="angle of attack in degrees (generate)"),
-    Opt("lx", float, 1.0), Opt("ly", float, 1.0), Opt("lz", float, 1.0),
-    Opt("n", int, 500, help="number of sampled points (generate)",
-        most=MAX_POINTS),
-]
+FITSHAPE_OPTS = {
+    "--points": dict(help="CSV x,y,z surface point cloud"),
+    "--generate": dict(choices=("spheroid", "sphere", "cuboid"),
+                       help="sample a synthetic cloud of --n points instead "
+                       "of reading --points"),
+    "--a": dict(type=float, default=1.0, help="spheroid symmetry semi-axis"),
+    "--b": dict(type=float, default=1.0, help="spheroid equatorial semi-axis"),
+    "--theta": dict(type=float, default=0.0, help="angle of attack, degrees"),
+    "--lx": dict(type=float, default=1.0),
+    "--ly": dict(type=float, default=1.0),
+    "--lz": dict(type=float, default=1.0),
+    "--n": dict(type=int, default=500, help="number of sampled points"),
+}
 
 
 def cmd_fit_shape(cfg):
     from . import lengthscale as ls_mod
-    if cfg["generate"] is not None:
-        kind = cfg["generate"]
+    kind = cfg["generate"]
+    if kind is not None:
         if kind == "spheroid":
             pts = ls_mod.sample_spheroid_surface(cfg["a"], cfg["b"], cfg["n"],
                                                  theta_deg=cfg["theta"],
@@ -425,16 +410,14 @@ def cmd_fit_shape(cfg):
         elif kind == "sphere":
             pts = ls_mod.sample_spheroid_surface(1.0, 1.0, n=cfg["n"],
                                                  seed=cfg["seed"])
-        elif kind == "cuboid":
+        else:
             pts = ls_mod.sample_cuboid_surface(cfg["lx"], cfg["ly"],
                                                cfg["lz"], cfg["n"],
                                                seed=cfg["seed"])
-        else:
-            raise ConfigError(f"unknown --generate kind {kind!r}")
         np.savetxt(os.path.join(_outdir(cfg), "fit_points.csv"), pts,
                    fmt="%.17g", delimiter=",", header="x,y,z", comments="")
     elif cfg["points"] is not None:
-        pts = np.loadtxt(cfg["points"], delimiter=",", skiprows=1, ndmin=2)
+        _, pts = series_mod.read_table(cfg["points"], "x,", None)
     else:
         raise ConfigError("provide --points or --generate")
     fit = ls_mod.fit_spheroid(pts)
@@ -448,16 +431,19 @@ def cmd_fit_shape(cfg):
     write_report(cfg, "fit-shape", rows)
 
 
-STEADY_OPTS = [
-    Opt("series", str, required=True, help="CSV t,nu with optional "
-        "`# key = value` metadata lines"),
-    Opt("St", float, 0.2, help="Strouhal number"),
-    Opt("Re", float, None), Opt("Pr", float, None),
-    Opt("r1", float, None), Opt("r2", float, None),
-    Opt("initial_window", float, 5.0, help="initial window, units of t_vs"),
-    Opt("step_size", float, 0.5), Opt("growth", float, 0.05),
-    Opt("activation", float, 7.5), Opt("threshold", float, 1.0e-3),
-]
+STEADY_OPTS = {
+    "--series": dict(required=True, help="CSV t,nu with optional "
+                     "`# key = value` metadata lines"),
+    "--St": dict(type=float, default=0.2, help="Strouhal number"),
+    "--Re": dict(type=float), "--Pr": dict(type=float),
+    "--r1": dict(type=float), "--r2": dict(type=float),
+    "--initial-window": dict(type=float, default=5.0,
+                             help="initial window, units of t_vs"),
+    "--step-size": dict(type=float, default=0.5),
+    "--growth": dict(type=float, default=0.05),
+    "--activation": dict(type=float, default=7.5),
+    "--threshold": dict(type=float, default=1.0e-3),
+}
 
 
 def cmd_steady_state(cfg):
@@ -477,15 +463,18 @@ def cmd_steady_state(cfg):
     write_report(cfg, "steady-state", rows)
 
 
-CORRELATE_OPTS = [
-    Opt("name", str, required=True, help="|".join(corr_mod.CORRELATION_NAMES)),
-    Opt("Re", float, required=True), Opt("Pr", float, required=True),
-    Opt("re_transition", float, corr_mod.RE_TRANSITION_DEFAULT),
-    Opt("q", float, None, help="length-scale ratio: evaluate the "
-        "transformed correlation"),
-    Opt("r2", float, None, help="conductivity ratio: also report Biot"),
-    Opt("strict", bool, False, help="error when outside the validity range"),
-]
+CORRELATE_OPTS = {
+    "--name": dict(required=True, choices=corr_mod.CORRELATION_NAMES),
+    "--Re": dict(type=float, required=True),
+    "--Pr": dict(type=float, required=True),
+    "--re-transition": dict(type=float,
+                            default=corr_mod.RE_TRANSITION_DEFAULT),
+    "--q": dict(type=float, help="length-scale ratio: evaluate the "
+                "transformed correlation"),
+    "--r2": dict(type=float, help="conductivity ratio: also report Biot"),
+    "--strict": dict(type=_to_bool, default=False,
+                     help="error when outside the validity range"),
+}
 
 
 def cmd_correlate(cfg):
@@ -506,8 +495,8 @@ def cmd_correlate(cfg):
     write_report(cfg, "correlate", rows)
 
 
-TABLES_OPTS = [Opt("levels", int, 6, help="mesh refinement level",
-                   most=MAX_LEVELS)]
+TABLES_OPTS = {"--levels": dict(type=int, default=6,
+                               help="mesh refinement level")}
 
 
 def cmd_tables(cfg):
@@ -550,31 +539,39 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dunking",
         description="Lumped-capacitance error bounds and learned length "
                     "scales for convective cooling problems.")
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, opts, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for opt in list(GLOBAL_OPTS) + list(opts):
-            p.add_argument(opt.flag, dest=opt.name, default=None,
-                           metavar=opt.name.upper(), help=opt.help)
+        for flag, kwargs in {**GLOBAL_OPTS, **opts}.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_CONFIG
-    runner, opts, _ = COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = resolve_options(args, opts)
-        write_manifest(cfg, args.command)
-        runner(cfg)
+        cfg = vars(build_parser().parse_args(_with_config(argv)))
+        command = cfg.pop("command")
+        if command is None:
+            build_parser().print_help()
+            return EXIT_CONFIG
+        for name, most in MOST.items():
+            if cfg.get(name) is not None and cfg[name] > most:
+                raise ConfigError(f"{_flag(name)} must be at most {most}")
+        for a, b in PAIRED:
+            if (cfg.get(a) is None) != (cfg.get(b) is None):
+                raise ConfigError(f"{_flag(a)} and {_flag(b)} must be given "
+                                  "together")
+        if cfg["output_dir"] is None:
+            cfg["output_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
+        write_manifest(cfg, command)
+        COMMANDS[command][0](cfg)
     # numeric first: np.linalg.LinAlgError is a ValueError
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

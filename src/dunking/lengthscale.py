@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .correlations import Correlation
+from .series import read_table
 
 Q_SEARCH_RANGE = (1.0e-4, 1.0e4)
 LOG_Q_TOL = 1.0e-10
@@ -148,7 +149,7 @@ class LengthScaleModel:
 
     @staticmethod
     def from_csv(path) -> "LengthScaleModel":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        _, rows = read_table(path, "s,", None)
         if len(rows) and rows.shape[1] < 3:
             raise ValueError(f"{path}: surrogate CSV needs columns s,theta_deg,q")
         return build_surrogate(rows[:, :3])

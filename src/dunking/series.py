@@ -47,42 +47,43 @@ class NusseltSeries:
 _META_LINE = re.compile(r"[ \t]*#[ \t]*(\w+)[ \t]*=[ \t]*(.*?)[ \t]*")
 
 
-def _parse_rows(body: bytes) -> np.ndarray:
+def _parse_rows(body: bytes, usecols) -> np.ndarray:
     # an empty body is for the caller to reject; bytes, not a StringIO,
     # which left ~45 MB resident after a 200 001-row read returned
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(io.BytesIO(body), delimiter=",", comments="#",
-                          usecols=(0, 1), ndmin=2, encoding="utf-8")
+                          usecols=usecols, ndmin=2, encoding="utf-8")
 
 
-def _first_bad_line(lines: list[bytes]) -> tuple[int, str]:
+def _first_bad_line(lines: list[bytes], usecols) -> tuple[int, str]:
     """(index, error) of the first of `lines` that _parse_rows rejects.
-    Rows parse independently, so a bisection parses about len(lines) lines
-    in all; the row loadtxt names counts only non-empty rows, 0- or 1-based
-    by error kind."""
-    lo, hi = 0, len(lines)  # lines[:lo] parse, lines[:hi] do not
+    A row fails alone or by a column count other than the first row's, so a
+    bisection over windows parsed after the first row parses about
+    len(lines) lines in all; loadtxt's row number skips empty lines."""
+    lo = next(k for k, line in enumerate(lines) if line)
+    first, hi = lines[lo], len(lines)  # lines[:lo] parse, lines[:hi] do not
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _parse_rows(b"\n".join(lines[lo:mid]))
+            _parse_rows(b"\n".join([first, *lines[lo:mid]]), usecols)
             lo = mid
         except ValueError:
             hi = mid
     try:
-        _parse_rows(lines[lo])
+        _parse_rows(b"\n".join([first, lines[lo]]), usecols)
     except ValueError as exc:
-        return lo, re.sub(r" at row \d+", "", str(exc))
+        return lo, re.sub(r" at row \d+|; use `usecols`.*", "", str(exc))
     raise AssertionError("a failing prefix must end in a failing line")
 
 
-def _read_table(path, header: str):
+def read_table(path, header: str, usecols):
     """(metadata, body) of a numeric CSV from one pass over its bytes (LF,
     CRLF or lone-CR line ends).  Only lines whose first byte cannot start a
     number are decoded: blank ones, comments (`# key = value` is metadata)
     and ones starting with `header` (any case) are cut, the rest are rows.
-    The first two columns form the (n, 2) body; errors name `path` and the
-    1-based file line."""
+    The `usecols` columns (all when None) form the 2-D body; errors name
+    `path` and the 1-based file line."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # the line ends text mode reads
@@ -110,9 +111,9 @@ def _read_table(path, header: str):
                         zip(cuts[::2], cuts[1::2] + [len(data)]))
     del data, raw
     try:
-        return meta, _parse_rows(body)
+        return meta, _parse_rows(body, usecols)
     except ValueError as exc:
-        k, msg = _first_bad_line(body.split(b"\n"))
+        k, msg = _first_bad_line(body.split(b"\n"), usecols)
         raise ValueError(f"{path}: line {k + 1}: {msg}") from exc
 
 
@@ -120,7 +121,7 @@ def read_series(path, **metadata) -> NusseltSeries:
     """Load a `t,nu` CSV.  Lines `# key = value` supply metadata defaults;
     keyword arguments override.  Duplicated time stamps keep the last value
     (with a warning)."""
-    meta, body = _read_table(path, "t,")
+    meta, body = read_table(path, "t,", (0, 1))
     t, nu = body.T
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{path}: non-finite time stamp {t[~np.isfinite(t)][0]}")
@@ -338,7 +339,7 @@ def eta_profile_stats(coords, values, periodic: bool = False,
 
 
 def read_profile(path) -> EtaProfile:
-    meta, body = _read_table(path, "coord")
+    meta, body = read_table(path, "coord", (0, 1))
     return eta_profile_stats(body[:, 0], body[:, 1],
                              periodic=meta.get("periodic", "").lower() == "true")
 

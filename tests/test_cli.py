@@ -221,11 +221,88 @@ def test_config_file_with_flag_override(tmp_path):
     assert "seed = 5\n" in manifest
 
 
+def test_required_options_from_config_file(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("name = ranz_marshall\nRe = 10\nPr = 0.71\n"
+                       "re-transition = 1e5  # dashes or underscores\n"
+                       "strict = yes\n")
+    code, out = run(tmp_path, "correlate", "--config", str(cfgfile))
+    assert code == 0
+    manifest = (out / "correlate_manifest.txt").read_text()
+    assert "name = ranz_marshall\n" in manifest
+    assert "re_transition = 100000\n" in manifest
+    assert "strict = true\n" in manifest
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("shape = disk\nshapes = square\n")
     code, _ = run(tmp_path, "phi", "--config", str(cfgfile))
     assert code == 2
+
+
+@pytest.mark.parametrize("command,argv,text,message", [
+    ("phi", ("--shape", "disk"), "levels = 12\n",
+     "--levels must be at most 8"),
+    ("bounds", ("--B-est", "0.1", "--gamma", "4", "--phi", "1"),
+     "B = tiny\n", "argument --B: invalid float value: 'tiny'"),
+    ("correlate", ("--name", "ranz_marshall", "--Re", "10", "--Pr", "0.71"),
+     "strict = maybe\n", "argument --strict: not a boolean: 'maybe'"),
+    ("phi", ("--shape", "disk"), "lev = 2\n", "unknown config key: lev"),
+    ("phi", ("--shape", "disk"), "kappa = 1\n", "unknown config key: kappa"),
+], ids=["over-bound", "bad-float", "bad-bool", "abbreviated-key",
+        "unknown-key"])
+def test_config_file_is_checked_like_flags(tmp_path, capsys, command, argv,
+                                           text, message):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    out = tmp_path / "out"
+    code = cli.main([command, "--output-dir", str(out), "--config",
+                     str(cfgfile), *argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()  # refused before any output
+
+
+@pytest.mark.parametrize("argv,first,second", [
+    (("lcm", "--B", "0.05", "--gamma", "2", "--solid", "copper"),
+     "--solid", "--fluid"),
+    (("lcm", "--B", "0.05", "--gamma", "2", "--fluid", "air"),
+     "--solid", "--fluid"),
+    (("learn-q", "--correlation", "ranz_marshall", "--surrogate", "GRID",
+      "--eval-s", "2"), "--eval-s", "--eval-theta"),
+    (("learn-q", "--correlation", "ranz_marshall", "--surrogate", "GRID",
+      "--eval-theta", "30"), "--eval-s", "--eval-theta"),
+    (("bounds", "--B", "0.05", "--B-est", "0.05", "--gamma", "4", "--phi",
+      "1", "--volume", "1"), "--volume", "--eta-l1l1"),
+], ids=["solid-alone", "fluid-alone", "eval-s-alone", "eval-theta-alone",
+        "volume-alone"])
+def test_paired_options_are_all_or_none(tmp_path, capsys, argv, first,
+                                        second):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("s,theta_deg,q\n1,0,1\n1,90,2\n4,0,1.5\n4,90,2.5\n")
+    code, out = run(tmp_path / "out",
+                    *[str(grid) if a == "GRID" else a for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"config error: {first} and {second} must be given together\n"
+    assert not out.exists()
+
+
+def test_help_lists_every_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in cli.COMMANDS)
+    for command, (_, opts, _) in cli.COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        missing = [flag for flag in (*cli.GLOBAL_OPTS, *opts)
+                   if f"{flag} " not in text]
+        assert missing == [], command
 
 
 def test_missing_required_option(tmp_path):
@@ -371,13 +448,13 @@ BOUNDARY_BASES = {
 
 def _boundary_cases():
     for command, (_, opts, _) in cli.COMMANDS.items():
-        for opt in opts:
-            if opt.typ is float:
+        for flag, kwargs in opts.items():
+            if kwargs.get("type") is float:
                 bases = BOUNDARY_BASES[command]
-                base = next((b for b in bases if opt.flag in b), bases[0])
+                base = next((b for b in bases if flag in b), bases[0])
                 for value in ("nan", "inf"):
-                    yield pytest.param(command, base, f"{opt.flag}={value}",
-                                       id=f"{command}{opt.flag}={value}")
+                    yield pytest.param(command, base, f"{flag}={value}",
+                                       id=f"{command}{flag}={value}")
 
 
 @pytest.mark.parametrize("command,base,flag", _boundary_cases())
@@ -425,6 +502,41 @@ def test_nonfinite_file_inputs_are_config_errors(tmp_path, capsys, command,
     code, _ = run(tmp_path, command, flag, str(src))
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,text,message", [
+    ("fit-shape", "--points", "x,y,z\n# c\n1,2,3\n1,2\n",
+     "line 4: the number of columns changed from 3 to 2"),
+    ("fit-shape", "--points", "x,y,z\n1,2,3\n4,5,6,7\n",
+     "line 3: the number of columns changed from 3 to 4"),
+    ("learn-q", "--samples", "Re,Nu\n10,2\n\n100,abc\n",
+     "line 4: could not convert string 'abc'"),
+    ("learn-q", "--surrogate", "s,theta_deg,q\n1,0,1\n1,90\n",
+     "line 3: the number of columns changed from 3 to 2"),
+], ids=["points-short-row", "points-long-row", "samples-bad-value",
+        "surrogate-short-row"])
+def test_malformed_table_rows_name_file_and_line(tmp_path, capsys, command,
+                                                 flag, text, message):
+    src = tmp_path / "input.csv"
+    src.write_text(text)
+    extra = ("--correlation", "ranz_marshall", "--Pr", "0.71") \
+        if command == "learn-q" else ()
+    code, _ = run(tmp_path, command, flag, str(src), *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {src}: {message}"), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("header", ["x,y,z\n", "X, Y, Z\n", ""],
+                         ids=["header", "spaced-header", "headerless"])
+def test_point_file_rows_are_all_read(tmp_path, header):
+    src = tmp_path / "points.csv"
+    src.write_text(header + "".join(f"{np.cos(k)},{np.sin(k)},{0.1 * k}\n"
+                                    for k in range(11)))
+    code, out = run(tmp_path, "fit-shape", "--points", str(src))
+    assert code == 0
+    assert _report(out, "fit-shape")["n_points"] == "11"
 
 
 # SERIES_META takes file lines 1-5, so the first row is line 6
@@ -482,10 +594,11 @@ def test_eigensolver_failure_is_numeric_error(tmp_path, monkeypatch, capsys,
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_phi_has_no_coefficient_options(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run(tmp_path, "phi", "--shape", "disk", "--kappa", "2")
-    assert exc.value.code == 2
+def test_phi_has_no_coefficient_options(tmp_path, capsys):
+    code, _ = run(tmp_path, "phi", "--shape", "disk", "--kappa", "2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("shape = disk\nkappa = 1\n")
     code, _ = run(tmp_path, "phi", "--config", str(cfgfile))
@@ -554,6 +667,24 @@ def test_manifest_lists_resolved_options_sorted(tmp_path):
     keys = [ln.split(" = ")[0] for ln in lines[1:]]
     assert keys == sorted(keys)
     assert "config" not in keys
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("rhe", "--shape", "square", "--B", "0.04"),
+     "command = rhe\nB = 0.04\neta = constant\nlevels = 4\n"
+     "max_snapshots = 200\noutput_dir = {out}\nseed = 0\nshape = square\n"
+     "snapshots = false\nsteps = 2000\nt_f = None\n"),
+    (("correlate", "--name", "ranz_marshall", "--Re", "100", "--Pr", "0.71"),
+     "command = correlate\nPr = 0.71\nRe = 100\nname = ranz_marshall\n"
+     "output_dir = {out}\nq = None\nr2 = None\nre_transition = 500000\n"
+     "seed = 0\nstrict = false\n"),
+], ids=["rhe", "correlate"])
+def test_default_manifest_text(tmp_path, argv, expected):
+    """Every default (bool, None, int, float) is echoed in its own format."""
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    assert (out / f"{argv[0]}_manifest.txt").read_text() == \
+        expected.format(out=out)
 
 
 def test_no_command_prints_help():
