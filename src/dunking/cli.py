@@ -6,8 +6,8 @@ configuration, and emits plain-text reports plus plot-ready CSVs.  All
 floating-point output uses 12 significant digits so regression diffs are
 meaningful; reruns with identical configuration are bit-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure or out of
+memory, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ MOST = {"levels": MAX_LEVELS, "steps": MAX_STEPS, "n": MAX_POINTS,
 
 # options that mean nothing alone: both or neither (each of one command)
 PAIRED = [("volume", "eta_l1l1"), ("solid", "fluid"), ("eval_s", "eval_theta")]
+# alternative inputs of fit-shape: exactly one of them
+ONE_OF = ("--points", "--generate")
 
 
 class ConfigError(Exception):
@@ -306,7 +308,11 @@ def cmd_lcm(cfg):
         r1 = tr1 if r1 is None else r1
         r2 = tr2 if r2 is None else r2
         rows += [("solid", cfg["solid"]), ("fluid", cfg["fluid"])]
-    if None not in (r1, r2, cfg["Re"], cfg["Pr"]):
+    scales = {"--r1": r1, "--r2": r2, "--Re": cfg["Re"], "--Pr": cfg["Pr"]}
+    missing = [flag for flag, v in scales.items() if v is None]
+    if 0 < len(missing) < len(scales):
+        raise ConfigError(f"time scales also need {', '.join(missing)}")
+    if not missing:
         ts = lcm_mod.time_scales(r1, r2, cfg["Re"], cfg["Pr"], cfg["B"],
                                  cfg["gamma"])
         rows += [("r1", r1), ("r2", r2), ("Re", cfg["Re"]), ("Pr", cfg["Pr"]),
@@ -342,6 +348,8 @@ LEARNQ_OPTS = {
 
 def cmd_learn_q(cfg):
     from . import lengthscale as ls_mod
+    if cfg["eval_s"] is not None and cfg["surrogate"] is None:
+        raise ConfigError("--eval-s and --eval-theta need --surrogate")
     corr = corr_mod.get_correlation(cfg["correlation"],
                                     Re_tr=cfg["re_transition"])
     rows = [("correlation", cfg["correlation"])]
@@ -387,8 +395,7 @@ def cmd_learn_q(cfg):
 FITSHAPE_OPTS = {
     "--points": dict(help="CSV x,y,z surface point cloud"),
     "--generate": dict(choices=("spheroid", "sphere", "cuboid"),
-                       help="sample a synthetic cloud of --n points instead "
-                       "of reading --points"),
+                       help="sample a synthetic cloud of --n points"),
     "--a": dict(type=float, default=1.0, help="spheroid symmetry semi-axis"),
     "--b": dict(type=float, default=1.0, help="spheroid equatorial semi-axis"),
     "--theta": dict(type=float, default=0.0, help="angle of attack, degrees"),
@@ -402,7 +409,9 @@ FITSHAPE_OPTS = {
 def cmd_fit_shape(cfg):
     from . import lengthscale as ls_mod
     kind = cfg["generate"]
-    if kind is not None:
+    if kind is None:
+        _, pts = series_mod.read_table(cfg["points"], "x,", None)
+    else:
         if kind == "spheroid":
             pts = ls_mod.sample_spheroid_surface(cfg["a"], cfg["b"], cfg["n"],
                                                  theta_deg=cfg["theta"],
@@ -416,10 +425,6 @@ def cmd_fit_shape(cfg):
                                                seed=cfg["seed"])
         np.savetxt(os.path.join(_outdir(cfg), "fit_points.csv"), pts,
                    fmt="%.17g", delimiter=",", header="x,y,z", comments="")
-    elif cfg["points"] is not None:
-        _, pts = series_mod.read_table(cfg["points"], "x,", None)
-    else:
-        raise ConfigError("provide --points or --generate")
     fit = ls_mod.fit_spheroid(pts)
     rows = [("n_points", len(pts)), ("s", fit.s),
             ("theta_deg", fit.theta_deg),
@@ -548,8 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, opts, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if ONE_OF[0] in opts:
+            one_of = p.add_mutually_exclusive_group(required=True)
         for flag, kwargs in {**GLOBAL_OPTS, **opts}.items():
-            p.add_argument(flag, **kwargs)
+            (one_of if flag in ONE_OF else p).add_argument(flag, **kwargs)
     return parser
 
 
@@ -582,6 +589,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

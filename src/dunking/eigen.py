@@ -18,9 +18,10 @@ problems shift by 0 and supply the inverse themselves: the bordered
 mean-zero u with ``A u + m c = x``, which is well defined although the
 stiffness alone is singular.  The caller (``budget.shape_constants``)
 factors once; mu, Lambda and every phi solve on the same mesh share it.
-The operator annihilates the constants and, for the boundary mass, the
-interior nodes, so the Lanczos basis is capped at the rank of the remaining
-spectrum.
+Constrained solves use a Lanczos basis of ``max(2k+1, 8)`` vectors, capped
+at the rank the operator leaves (it annihilates the constants and, for the
+boundary mass, the interior nodes), and ARPACK stops at ``ARPACK_TOL``, not
+at machine precision: one pair converges within the first Lanczos pass.
 """
 
 from __future__ import annotations
@@ -48,18 +49,12 @@ class StabilityConstants:
     gamma_over_lambda: float
 
 
-# ---------------------------------------------------------------- helpers
-
-def _rank_rows(Mrhs: sp.spmatrix) -> int:
-    # rows with any nonzero entry; equals the matrix rank for the volume
-    # and boundary mass matrices used here (block-diagonal SPD blocks)
-    m = sp.csr_matrix(Mrhs)
-    return int(np.count_nonzero(np.diff(m.indptr)))
-
-
 # ---------------------------------------------------------------- solvers
 
 RES_TOL = 1e-8  # relative residual bound; also rounds the Neumann zero mode
+# ARPACK's stopping tolerance (constrained solves): four orders below RES_TOL,
+# so every pair passes _check_residual with room to spare
+ARPACK_TOL = 1e-12
 
 
 def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
@@ -90,7 +85,10 @@ def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
     else:
         if constraint.A is not A:
             raise ValueError("constraint was factored from another matrix")
-        avail = min(n, _rank_rows(Mrhs)) - 1
+        # rows with any nonzero entry: the rank of the volume and boundary
+        # masses (block-diagonal SPD blocks)
+        rank = int(np.count_nonzero(np.diff(sp.csr_matrix(Mrhs).indptr)))
+        avail = min(n, rank) - 1
         if k >= avail:
             raise ValueError(
                 f"k={k} exceeds the available constrained spectrum ({avail})")
@@ -99,12 +97,11 @@ def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
         def solve(x):
             return lu.solve(np.append(x, 0.0))[:n]
 
-        # ARPACK needs k < ncv <= rank; scipy's default ncv, max(2k+1, 20),
-        # exceeds the rank of coarse boundary masses
+        # ARPACK needs k < ncv <= rank
         shift = dict(sigma=0.0, v0=solve(Mrhs @ rng.standard_normal(n)),
                      OPinv=spla.LinearOperator((n, n), matvec=solve,
                                                dtype=float),
-                     ncv=min(avail, max(2 * k + 1, 20)))
+                     ncv=min(avail, max(2 * k + 1, 8)), tol=ARPACK_TOL)
     vals, vecs = spla.eigsh(A, k=k, M=Mrhs, which="LM", **shift)
     pairs = []
     for idx in np.argsort(vals):
@@ -144,13 +141,3 @@ def constrained_stability(op: ConstrainedOperator, M: sp.spmatrix,
                               gamma_sq_over_mu=gamma ** 2 / mu,
                               gamma_over_lambda=gamma / lam)
 
-
-def write_eigenpairs(path, pairs: list[EigenPair], vectors_path=None) -> None:
-    """CSV export ``index,lambda``; optionally nodal vectors as columns."""
-    rows = np.reshape([(i, p.value) for i, p in enumerate(pairs)], (-1, 2))
-    np.savetxt(path, rows, fmt=("%d", "%.17g"), delimiter=",",
-               header="index,lambda", comments="")
-    if vectors_path is not None:
-        mat = np.column_stack([p.vector for p in pairs])
-        header = ",".join(f"v{i}" for i in range(len(pairs)))
-        np.savetxt(vectors_path, mat, delimiter=",", header=header, comments="")

@@ -289,6 +289,46 @@ def test_paired_options_are_all_or_none(tmp_path, capsys, argv, first,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,missing", [
+    (("--Re", "100"), "--r1, --r2, --Pr"),
+    (("--r1", "1", "--r2", "0.822", "--Re", "143"), "--Pr"),
+    (("--solid", "aluminum", "--fluid", "air"), "--Re, --Pr"),
+    (("--solid", "aluminum", "--fluid", "air", "--Pr", "0.71"), "--Re"),
+], ids=["Re-alone", "no-Pr", "materials-alone", "materials-no-Re"])
+def test_lcm_time_scale_inputs_are_all_or_none(tmp_path, capsys, argv,
+                                               missing):
+    code, out = run(tmp_path, "lcm", "--B", "0.05", "--gamma", "2", *argv)
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"config error: time scales also need {missing}\n"
+    assert not (out / "lcm_report.txt").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--points", "POINTS", "--generate", "sphere"),
+     "argument --generate: not allowed with argument --points"),
+    ((), "one of the arguments --points --generate is required"),
+], ids=["both", "neither"])
+def test_fit_shape_takes_points_or_generate(tmp_path, capsys, argv, message):
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,z\n1,0,0\n0,1,0\n0,0,1\n")
+    code, out = run(tmp_path / "out", "fit-shape",
+                    *[str(points) if a == "POINTS" else a for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_surrogate_evaluation_needs_surrogate(tmp_path, capsys):
+    code, out = run(tmp_path, "learn-q", "--correlation", "ranz_marshall",
+                    "--Re", "100", "--Nu", "5", "--Pr", "0.71", "--eval-s",
+                    "2", "--eval-theta", "30")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: --eval-s and --eval-theta need --surrogate\n"
+    assert not (out / "learn_q_report.txt").exists()
+
+
 def test_help_lists_every_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -594,6 +634,22 @@ def test_eigensolver_failure_is_numeric_error(tmp_path, monkeypatch, capsys,
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 8.00 EiB"),
+     "out of memory: Unable to allocate 8.00 EiB"),
+    (MemoryError(), "out of memory: allocation failed"),
+])
+def test_out_of_memory_is_numeric_exit(tmp_path, monkeypatch, capsys, exc,
+                                       message):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "lcm", (fail, *cli.COMMANDS["lcm"][1:]))
+    code, _ = run(tmp_path, "lcm", "--B", "0.05", "--gamma", "2")
+    assert code == 3
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_phi_has_no_coefficient_options(tmp_path, capsys):
     code, _ = run(tmp_path, "phi", "--shape", "disk", "--kappa", "2")
     assert code == 2
@@ -749,12 +805,6 @@ def _transient_series(tmp_path, monkeypatch):
     return tmp_path / "out.csv"
 
 
-def _eigenpairs(tmp_path, monkeypatch):
-    eigen.write_eigenpairs(tmp_path / "out.csv",
-                           [eigen.EigenPair(v, None) for v in (1.0, 0.1, 1e300)])
-    return tmp_path / "out.csv"
-
-
 def _surrogate(tmp_path, monkeypatch):
     lengthscale.LengthScaleModel([-1.0, 0.0, 0.5], [30.0],
                                  [[0.5], [1.0 / 3.0], [2.0]]).to_csv(
@@ -800,8 +850,6 @@ def _eta_profile(tmp_path, monkeypatch):
                   "1.0000000000000001e+300\n-1.5,2,3\n"),
     (_transient_series, "t,u_avg\n0,1\n0.5,0.10000000000000001\n"
                         "1,9.9999999999999694e-311\n"),
-    (_eigenpairs, "index,lambda\n0,1\n1,0.10000000000000001\n"
-                  "2,1.0000000000000001e+300\n"),
     (_surrogate, "s,theta_deg,q\n0.10000000000000001,30,0.5\n"
                  "1,30,0.33333333333333331\n3.1622776601683795,30,2\n"),
     (_nusselt_series, "# Re = 100.0\n# length_scale = diameter\nt,nu\n"

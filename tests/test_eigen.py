@@ -79,18 +79,6 @@ def test_stability_constants_square(square4):
     assert abs(sc.gamma_sq_over_mu - 1.6211389) < 0.02
 
 
-def test_eigenpair_export(tmp_path):
-    m = mesh.generate_canonical("disk", 2)
-    forms = fem.assemble_forms(m, uniform_fields(m))
-    pairs = eigen.generalized_eigs(forms.A0, forms.M, 4)
-    p = tmp_path / "eigs.csv"
-    eigen.write_eigenpairs(p, pairs)
-    vals = np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[:, 1]
-    assert np.allclose(vals, [q.value for q in pairs], rtol=1e-12)
-    eigen.write_eigenpairs(p, [])
-    assert p.read_text() == "index,lambda\n"
-
-
 def test_more_pairs_than_rank_rejected():
     m = mesh.generate_canonical("disk", 1)
     forms = fem.assemble_forms(m, uniform_fields(m))
@@ -108,24 +96,59 @@ def _constrained_dense(forms, Mrhs, k):
     return np.sort(1.0 / theta[::-1][:k])
 
 
-@pytest.mark.parametrize("shape", ["square", "cross"])
+@pytest.fixture(scope="module")
+def level3_operators():
+    out = {}
+    for shape in budget.SHAPES:
+        m = budget.canonical_mesh(shape, 3)
+        forms = fem.assemble_forms(m, uniform_fields(m))
+        out[shape] = forms, fem.factor_constrained(forms.A0, forms.c)
+    return out
+
+
+@pytest.mark.parametrize("shape,k,rtol", [
+    *[pytest.param(s, 3, 1e-10, id=s) for s in ("square", "cross")],
+    # the single pair that mu and Lambda use
+    *[pytest.param(s, 1, 1e-11, id=f"{s}-k1") for s in budget.SHAPES],
+])
 @pytest.mark.parametrize("rhs", ["M", "A1"])
-def test_constrained_eigs_match_dense_on_c_perp(shape, rhs):
-    m = budget.canonical_mesh(shape, 3)
-    forms = fem.assemble_forms(m, uniform_fields(m))
-    op = fem.factor_constrained(forms.A0, forms.c)
+def test_constrained_eigs_match_dense_on_c_perp(level3_operators, shape, k,
+                                                rtol, rhs):
+    forms, op = level3_operators[shape]
     Mrhs = getattr(forms, rhs)
-    pairs = eigen.generalized_eigs(forms.A0, Mrhs, 3, constraint=op)
+    pairs = eigen.generalized_eigs(forms.A0, Mrhs, k, constraint=op)
     got = np.array([p.value for p in pairs])
-    assert np.allclose(got, _constrained_dense(forms, Mrhs, 3), rtol=1e-10,
+    assert np.allclose(got, _constrained_dense(forms, Mrhs, k), rtol=rtol,
                        atol=0.0)
+
+
+class _CountingLU:
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, x):
+        self.solves += 1
+        return self.lu.solve(x)
+
+
+@pytest.mark.parametrize("shape", budget.SHAPES)
+@pytest.mark.parametrize("rhs", ["M", "A1"])
+def test_constrained_first_pair_solve_count(level3_operators, shape, rhs):
+    # one pair converges within ARPACK's first short Lanczos pass; the
+    # count includes the starting-vector solve
+    forms, op = level3_operators[shape]
+    counted = dataclasses.replace(op, lu=_CountingLU(op.lu))
+    eigen.generalized_eigs(forms.A0, getattr(forms, rhs), 1,
+                           constraint=counted)
+    assert 0 < counted.lu.solves <= 20
 
 
 @pytest.mark.parametrize("levels", [1, 2])
 @pytest.mark.parametrize("shape", budget.SHAPES)
 def test_constrained_first_pair_on_coarse_meshes(shape, levels):
-    # coarse boundary masses leave fewer nonzero modes than ARPACK's
-    # default Lanczos basis; the basis is capped at that count
+    # coarse boundary masses leave fewer nonzero modes than the Lanczos
+    # basis; the basis is capped at that count
     m = budget.canonical_mesh(shape, levels)
     forms = fem.assemble_forms(m, uniform_fields(m))
     op = fem.factor_constrained(forms.A0, forms.c)
