@@ -1,8 +1,9 @@
 """Command-line entry point wiring the toolkit into reproducible runs.
 
 Every subcommand reads an optional flat `key = value` config file, lets
-explicit flags override it, writes a manifest echoing the fully resolved
-configuration, and emits plain-text reports plus plot-ready CSVs.  All
+explicit flags override it, emits plain-text reports plus plot-ready CSVs,
+and, once it has run, writes a manifest echoing the fully resolved
+configuration (a refused run leaves none).  All
 floating-point output uses 12 significant digits so regression diffs are
 meaningful; reruns with identical configuration are bit-identical.
 
@@ -217,6 +218,13 @@ BOUNDS_OPTS = {
 
 def cmd_bounds(cfg):
     from . import budget as budget_mod
+    if cfg["phi111"] is None:
+        unused = [_flag(k) for k in ("gamma_over_lambda", "gamma_sq_over_mu")
+                  if cfg[k] is not None]
+        unused += [_flag(k) for k in ("var_eta", "var_sigma") if cfg[k]]
+        if unused:
+            raise ConfigError(f"{', '.join(unused)} only enter phi_ub, "
+                              "which needs --phi111")
     temporal = None if cfg["volume"] is None else (cfg["volume"],
                                                     cfg["eta_l1l1"])
     bud = budget_mod.assemble_budget(cfg["B"], cfg["B_est"], cfg["gamma"],
@@ -577,8 +585,8 @@ def main(argv=None) -> int:
                                   "together")
         if cfg["output_dir"] is None:
             cfg["output_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
-        write_manifest(cfg, command)
         COMMANDS[command][0](cfg)
+        write_manifest(cfg, command)
     # numeric first: np.linalg.LinAlgError is a ValueError
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

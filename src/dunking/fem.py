@@ -155,18 +155,27 @@ def assemble_forms(mesh: Mesh2D, fields: FieldSet) -> Forms:
     nv = mesh.num_vertices
     p, t = mesh.vertices, mesh.triangles
     areas = mesh.triangle_areas()
+    rows, cols = _element_index(t)  # shared by the A0 and M scatters
 
-    # gradients of the barycentric basis
-    x = p[t, 0]  # (nt, 3)
-    y = p[t, 1]
-    bx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    by = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    # gradients of the barycentric basis, one (nt,) array per vertex
+    x = p[t, 0].T  # (3, nt)
+    y = p[t, 1].T
+    bx = (y[1] - y[2], y[2] - y[0], y[0] - y[1])
+    by = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
 
-    ke = (bx[:, :, None] * bx[:, None, :] + by[:, :, None] * by[:, None, :])
-    ke *= (fields.kappa / (4.0 * areas))[:, None, None]
-    A0 = _scatter_elements(t, ke, nv)
+    # symmetric: each of the six distinct entries is computed once
+    w = fields.kappa / (4.0 * areas)
+    ke = np.empty((t.shape[0], 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            kij = bx[i] * bx[j]
+            kij += by[i] * by[j]
+            kij *= w
+            ke[:, i, j] = ke[:, j, i] = kij
+    A0 = _scatter_elements(rows, cols, ke, nv)
+    del ke  # freed before the mass elements are built
 
-    M = mass_matrix(mesh, fields.sigma)
+    M = _scatter_elements(rows, cols, _mass_elements(areas, fields.sigma), nv)
     A1 = boundary_mass(mesh, fields.eta)
     c = M @ np.ones(nv)
     return Forms(A0, A1, M, c)
@@ -174,16 +183,24 @@ def assemble_forms(mesh: Mesh2D, fields: FieldSet) -> Forms:
 
 def mass_matrix(mesh: Mesh2D, sigma: np.ndarray) -> sp.csr_matrix:
     """Volume mass matrix with piecewise constant weight sigma (exact)."""
-    areas = mesh.triangle_areas()
+    rows, cols = _element_index(mesh.triangles)
+    return _scatter_elements(rows, cols, _mass_elements(mesh.triangle_areas(), sigma),
+                             mesh.num_vertices)
+
+
+def _mass_elements(areas: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    me = me_ref[None, :, :] * (sigma * areas)[:, None, None]
-    return _scatter_elements(mesh.triangles, me, mesh.num_vertices)
+    return me_ref[None, :, :] * (sigma * areas)[:, None, None]
 
 
-def _scatter_elements(t: np.ndarray, elem: np.ndarray, nv: int) -> sp.csr_matrix:
+def _element_index(t: np.ndarray):
+    """int32 (rows, cols) of the entries of the (nt, 3, 3) element matrices."""
+    t = t.astype(np.int32)
+    return np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+
+
+def _scatter_elements(rows, cols, elem: np.ndarray, nv: int) -> sp.csr_matrix:
     """Sum the (nt, 3, 3) element matrices into a global CSR matrix."""
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
     return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
 
 

@@ -6,7 +6,9 @@ geometry statistics, and a small text format for mesh exchange.
 
 All canonical shapes are centered at their centroid.  Successive resolutions
 are nested: ``generate_canonical(shape, r)`` equals the base mesh refined
-``r - 1`` times.
+``r - 1`` times.  Refinement steps plain arrays from level to level and
+takes each level's boundary edges from its parent's; only the mesh that
+`refine` returns is built and validated.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ class Mesh2D:
         curved boundary; applied to new boundary vertices during refinement.
 
     Construction validates the mesh and keeps read-only views (not copies)
-    of the five arrays.  Triangle areas, boundary edge lengths and
-    `geometry_stats` are computed once, on first use, and cached read-only.
+    of the five arrays.  `refine` builds only the mesh it returns: the
+    levels in between are arrays, checked through the result.  Triangle
+    areas, boundary edge lengths and `geometry_stats` are computed once, on
+    first use, and cached read-only.
     Build a modified mesh with `dataclasses.replace`: it is validated anew
     and starts with an empty cache.
     """
@@ -78,7 +82,8 @@ class Mesh2D:
         areas = self._areas
         area = float(areas.sum())
         perimeter = float(self._edge_lengths.sum())
-        centroid = tuple((areas @ self.vertices[self.triangles].mean(axis=1)) / area)
+        p, t = self.vertices, self.triangles
+        centroid = tuple((areas @ ((p[t[:, 0]] + p[t[:, 1]] + p[t[:, 2]]) / 3)) / area)
         # the farthest pair of vertices lies on the convex hull, whose
         # vertices are boundary vertices
         diameter = _diameter(self.vertices[np.unique(self.boundary_edges)])
@@ -114,7 +119,10 @@ class Mesh2D:
             )
         # boundary_edges must be exactly the edges incident to a single
         # triangle, each listed once (in either orientation)
-        want = np.sort(_edge_keys(_extract_boundary_edges(self.triangles, nv), nv))
+        keys = np.sort(_edge_keys(_triangle_edges(self.triangles), nv))
+        single = np.ones(keys.shape[0] + 1, dtype=bool)
+        single[1:-1] = keys[1:] != keys[:-1]
+        want = keys[single[:-1] & single[1:]]  # keys that occur exactly once
         got = np.sort(_edge_keys(self.boundary_edges, nv))
         if not np.array_equal(got, want):
             raise ValueError("boundary_edges do not match the edges incident to one triangle")
@@ -205,28 +213,29 @@ def _extract_boundary_edges(triangles: np.ndarray, nv: int) -> np.ndarray:
 
 
 def _check_connected(triangles: np.ndarray, nv: int) -> None:
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    i = triangles[:, [0, 1, 2]].ravel()
-    j = triangles[:, [1, 2, 0]].ravel()
-    adj = coo_matrix((np.ones_like(i), (i, j)), shape=(nv, nv))
+    # edges (0, 1) and (0, 2) join the three vertices of a triangle; int32
+    # and float64 are the index and value types csgraph works in
+    t = triangles.astype(np.int32)
+    adj = csr_matrix((np.ones(2 * t.shape[0]), (np.repeat(t[:, 0], 2), t[:, 1:].ravel())),
+                     shape=(nv, nv))
     ncomp, _ = connected_components(adj, directed=False)
     if ncomp != 1:
         raise ValueError(f"mesh is not connected ({ncomp} components)")
 
 
-def _finalize(vertices, triangles, regions, projector=None, tags_of=None) -> Mesh2D:
-    """Orient the triangles CCW, extract the boundary and build the mesh;
-    `tags_of` maps the boundary edges to their tags (default all 0)."""
+def _finalize(vertices, triangles, projector=None) -> Mesh2D:
+    """Orient the triangles CCW, extract the boundary and build a base mesh
+    whose region and boundary tags are all 0."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
     flip = _signed_areas(vertices, triangles) < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     bedges = _extract_boundary_edges(triangles, vertices.shape[0])
-    tags = np.zeros(bedges.shape[0], dtype=np.int64) if tags_of is None else tags_of(bedges)
-    return Mesh2D(vertices, triangles, np.asarray(regions, dtype=np.int64), bedges,
-                  tags, projector)
+    return Mesh2D(vertices, triangles, np.zeros(triangles.shape[0], dtype=np.int64), bedges,
+                  np.zeros(bedges.shape[0], dtype=np.int64), projector)
 
 
 # ---------------------------------------------------------------- canonical shapes
@@ -242,7 +251,7 @@ def _base_disk() -> Mesh2D:
     ang = np.arange(8) * (np.pi / 4.0)
     verts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
     tris = [[0, 1 + k, 1 + (k + 1) % 8] for k in range(8)]
-    return _finalize(verts, tris, np.zeros(len(tris)), projector=_disk_projector)
+    return _finalize(verts, tris, projector=_disk_projector)
 
 
 def _cell_grid_mesh(cells, origin, h) -> Mesh2D:
@@ -265,7 +274,7 @@ def _cell_grid_mesh(cells, origin, h) -> Mesh2D:
             tris += [[a, b, c], [a, c, d]]
         else:
             tris += [[a, b, d], [b, c, d]]
-    return _finalize(np.array(verts), tris, np.zeros(len(tris)))
+    return _finalize(np.array(verts), tris)
 
 
 def _base_square() -> Mesh2D:
@@ -298,7 +307,7 @@ def _base_triangle() -> Mesh2D:
     o = (0.0, 0.0)
     verts = [o, a, b, pr, c, pl]
     tris = [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5], [0, 5, 1]]
-    return _finalize(verts, tris, np.zeros(len(tris)))
+    return _finalize(verts, tris)
 
 
 _BASE_BUILDERS = {
@@ -323,34 +332,63 @@ def refine(mesh: Mesh2D, times: int = 1) -> Mesh2D:
 
     Region and boundary tags are inherited; midpoints of boundary edges are
     projected onto the exact boundary when the mesh carries a projector.
+    The intermediate levels are plain arrays: only the returned mesh is
+    built and validated, so a child that the projector inverts at any
+    level is reported as a negatively oriented triangle.
     """
     if times < 0:
         raise ValueError("times must be >= 0")
-    out = mesh
-    for _ in range(times):
-        out = _refine_once(out)
-    return out
-
-
-def _refine_once(mesh: Mesh2D) -> Mesh2D:
+    if times == 0:
+        return mesh
     p, t = mesh.vertices, mesh.triangles
-    nv = p.shape[0]
+    bpos, tags = _boundary_positions(mesh)
+    for _ in range(times):
+        p, t, bpos, order = _refine_arrays(p, t, bpos, mesh.boundary_projector)
+        tags = np.concatenate([tags, tags])[order]
+    block, tri = np.divmod(bpos, t.shape[0])
+    bedges = np.column_stack([t[tri, block], t[tri, (block + 1) % 3]])
+    return Mesh2D(p, t, np.tile(mesh.tri_regions, 4 ** times), bedges, tags,
+                  mesh.boundary_projector)
+
+
+def _boundary_positions(mesh: Mesh2D):
+    """Positions of the boundary edges among `_triangle_edges(triangles)`,
+    ascending (the order `_extract_boundary_edges` returns them in), and
+    their tags, matched by edge key."""
+    nv = mesh.num_vertices
+    keys = _edge_keys(_triangle_edges(mesh.triangles), nv)
+    bkeys = _edge_keys(mesh.boundary_edges, nv)
+    order = np.argsort(bkeys)
+    idx = np.minimum(np.searchsorted(bkeys[order], keys), bkeys.shape[0] - 1)
+    bpos = np.flatnonzero(bkeys[order[idx]] == keys)
+    return bpos, mesh.edge_tags[order[idx[bpos]]]
+
+
+def _refine_arrays(p, t, bpos, projector):
+    """One red refinement step on arrays.
+
+    `bpos` holds the positions of the boundary edges among the directed
+    edges `_triangle_edges(t)`, ascending.  Returns the refined vertices
+    and triangles, the positions of the refined boundary edges, and the
+    order that takes the children (first halves of all parent edges, then
+    second halves) to those positions.
+    """
+    nv, nt = p.shape[0], t.shape[0]
     ukeys, inv = np.unique(_edge_keys(_triangle_edges(t), nv), return_inverse=True)
     lo, hi = np.divmod(ukeys, nv)
-    mid_ids = nv + np.arange(ukeys.shape[0])
     midpoints = 0.5 * (p[lo] + p[hi])
 
     # project midpoints of *boundary* edges onto the curved boundary
-    bkeys = _edge_keys(mesh.boundary_edges, nv)
-    is_bnd = np.isin(ukeys, bkeys)
-    if mesh.boundary_projector is not None and np.any(is_bnd):
-        midpoints[is_bnd] = mesh.boundary_projector(midpoints[is_bnd])
+    if projector is not None:
+        is_bnd = np.zeros(ukeys.shape[0], dtype=bool)
+        is_bnd[inv[bpos]] = True
+        midpoints[is_bnd] = projector(midpoints[is_bnd])
 
     newverts = np.vstack([p, midpoints])
-    nt = t.shape[0]
-    m01 = mid_ids[inv[0 * nt:1 * nt]]
-    m12 = mid_ids[inv[1 * nt:2 * nt]]
-    m20 = mid_ids[inv[2 * nt:3 * nt]]
+    mid = inv + nv
+    m01, m12, m20 = mid[:nt], mid[nt:2 * nt], mid[2 * nt:]
+    # each child keeps its parent's orientation, so nothing is re-oriented:
+    # a child that the projector inverts fails the final validation
     newtris = np.concatenate(
         [
             np.column_stack([t[:, 0], m01, m20]),
@@ -360,17 +398,14 @@ def _refine_once(mesh: Mesh2D) -> Mesh2D:
         ],
         axis=0,
     )
-    newregions = np.tile(mesh.tri_regions, 4)
-
-    # inherit boundary tags: a new boundary edge joins an old vertex to the
-    # midpoint m >= nv of its parent edge, whose key is ukeys[m - nv]
-    order = np.argsort(bkeys)
-
-    def parent_tags(bedges):
-        parent = ukeys[bedges.max(axis=1) - nv]
-        return mesh.edge_tags[order[np.searchsorted(bkeys[order], parent)]]
-
-    return _finalize(newverts, newtris, newregions, mesh.boundary_projector, parent_tags)
+    # Parent edge k of triangle e, at position k*nt + e, runs (a, b) with
+    # midpoint m.  Corner child k (triangle k*nt + e) has (a, m) as its edge
+    # 0, at that same position; corner child k+1 has (m, b) as its edge 2,
+    # in the last block of the 4nt-triangle mesh's directed edges.
+    block, tri = np.divmod(bpos, nt)
+    child = np.concatenate([bpos, 8 * nt + ((block + 1) % 3) * nt + tri])
+    order = np.argsort(child)
+    return newverts, newtris, child[order], order
 
 
 def tag_halfplane_regions(mesh: Mesh2D, axis: int = 0) -> Mesh2D:

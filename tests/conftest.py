@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ def square4():
 @pytest.fixture(scope="session")
 def cross4():
     return mesh.generate_canonical("cross", 4)
+
+
+def array_digest(*arrays) -> str:
+    """First 16 hex digits of the sha256 over the arrays' bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
 
 
 def uniform_fields(m):

@@ -304,6 +304,34 @@ def test_lcm_time_scale_inputs_are_all_or_none(tmp_path, capsys, argv,
     assert not (out / "lcm_report.txt").exists()
 
 
+BOUNDS_SCALARS = ("--B", "0.068", "--B-est", "0.0678", "--gamma", "4",
+                  "--phi", "1.1")
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (("--var-eta", "0.3", "--gamma-over-lambda", "2"),
+     "--gamma-over-lambda, --var-eta"),
+    (("--gamma-sq-over-mu", "3"), "--gamma-sq-over-mu"),
+    (("--var-sigma", "0.1"), "--var-sigma"),
+], ids=["eta-terms", "mu-alone", "var-sigma-alone"])
+def test_bounds_phi_ub_inputs_need_phi111(tmp_path, capsys, argv, unused):
+    code, out = run(tmp_path / "out", "bounds", *BOUNDS_SCALARS, *argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {unused} only enter phi_ub, which needs --phi111\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("lcm", "--B", "0.05", "--gamma", "2", "--Re", "100"),
+    ("bounds", *BOUNDS_SCALARS, "--phi111", "0.5", "--var-sigma", "0.1"),
+], ids=["lcm-partial-time-scales", "bounds-var-sigma-without-mu"])
+def test_refused_command_leaves_no_manifest(tmp_path, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,message", [
     (("--points", "POINTS", "--generate", "sphere"),
      "argument --generate: not allowed with argument --points"),

@@ -3,7 +3,7 @@ import pytest
 
 from dunking import fem, mesh
 
-from conftest import uniform_fields
+from conftest import array_digest, uniform_fields
 
 
 def test_mass_matrix_partitions_area(disk4):
@@ -28,6 +28,26 @@ def test_stiffness_exact_linear_energy(square4):
     v = square4.vertices[:, 0].copy()
     area = square4.triangle_areas().sum()
     assert abs(v @ (forms.A0 @ v) - area) < 1e-13 * area
+
+
+# sha256 (first 16 hex digits) over data, indices and indptr of A0, M and A1
+# at level 5, unit kappa and sigma, sinusoidal eta
+FORM_DIGESTS = {
+    "disk": ["4993ff7648f32128", "65371b45ddb6bcaf", "72189f5ec1f6a707"],
+    "square": ["81f7800e6d76d371", "482b53e7bcd7a649", "10077f6ba96914ef"],
+    "equilateral_triangle": ["7fd55fd332fcb80e", "129472fa2559cbcd", "1283613e184c1745"],
+    "cross": ["1d0857eef7aad428", "4d26a3190bd5914a", "73bb3a0da9675788"],
+}
+
+
+@pytest.mark.parametrize("shape", mesh.CANONICAL_SHAPES)
+def test_forms_are_bit_identical(shape):
+    m = mesh.generate_canonical(shape, 5)
+    fields = uniform_fields(m)
+    fields.eta = fem.eta_variation(m, "sinusoidal")
+    forms = fem.assemble_forms(m, fields)
+    assert [array_digest(A.data, A.indices, A.indptr)
+            for A in (forms.A0, forms.M, forms.A1)] == FORM_DIGESTS[shape]
 
 
 def test_boundary_mass_total(disk4):

@@ -6,6 +6,8 @@ from hypothesis import example, given, strategies as st
 
 from dunking import mesh
 
+from conftest import array_digest
+
 
 # exact geometry of the canonical shapes: unit-radius disk, unit square,
 # unit-side equilateral triangle, plus-sign of five unit squares
@@ -349,5 +351,64 @@ def test_refinement_validates_each_mesh_once(monkeypatch, tagged):
 
     monkeypatch.setattr(mesh.Mesh2D, "validate", counted)
     fine = mesh.refine(base, 3)
+    assert len(calls) == 1
+    assert calls[0] is fine
+
+
+def test_refinement_rejects_a_child_inverted_at_an_intermediate_level():
+    # the projector throws the first level's boundary midpoints across the
+    # square and leaves later ones alone: only the returned mesh is
+    # validated, and it inherits the inverted children
+    calls = []
+
+    def projector(points):
+        calls.append(len(points))
+        return -points if len(calls) == 1 else points
+
+    base = dataclasses.replace(mesh.generate_canonical("square", 1),
+                               boundary_projector=projector)
+    with pytest.raises(ValueError, match="negatively oriented"):
+        mesh.refine(base, 3)
     assert len(calls) == 3
-    assert calls[-1] is fine
+
+
+def test_refinement_tags_ignore_boundary_edge_order_and_orientation():
+    base = mesh.generate_canonical("disk", 2)
+    base = dataclasses.replace(
+        base, edge_tags=np.random.default_rng(11).integers(1, 5, base.num_boundary_edges))
+    perm = np.random.default_rng(12).permutation(base.num_boundary_edges)
+    shuffled = dataclasses.replace(base, boundary_edges=base.boundary_edges[perm, ::-1],
+                                   edge_tags=base.edge_tags[perm])
+    once, twice = mesh.refine(shuffled), mesh.refine(shuffled, 2)
+    assert np.array_equal(once.edge_tags, _ref_inherit_edge_tags(base, once))
+    assert np.array_equal(twice.edge_tags, _ref_inherit_edge_tags(once, twice))
+    for got, want in ((once, mesh.refine(base)), (twice, mesh.refine(base, 2))):
+        assert np.array_equal(got.boundary_edges, want.boundary_edges)
+        assert np.array_equal(got.edge_tags, want.edge_tags)
+
+
+# --------------------------------------------------- bit-identity of the meshes
+#
+# sha256 (first 16 hex digits) over vertices, triangles, tri_regions,
+# boundary_edges and edge_tags, in that order, at levels 1-6.
+
+MESH_DIGESTS = {
+    "disk": ["c652a3f283a219f4", "776dee51fa9a36c4", "64ca3a5f4bed6ae6",
+             "537a491d04d0872c", "0ec3a7fa978b7573", "5b52f4e3de9fdfab"],
+    "square": ["308cd98715c75e34", "63b3fc7c0e102652", "a4f4984866a3de77",
+               "03c4e85d25e31770", "b3e9a8f560f2a330", "28bbdf4c2ea39509"],
+    "equilateral_triangle": ["37bb65d1d214b508", "2d672a806af424a5", "a1d431129b36b9ef",
+                             "f5b818b387d4e12e", "a981b8227fe7f29a", "4787d50f8b2a8592"],
+    "cross": ["881b6e865995bd2e", "9ac93d113dca0d01", "6413fdb70aad7cf6",
+              "a31b3fec5640cfdb", "8e18e5a58e0e794c", "5ae4634d16a0d8fd"],
+}
+
+
+@pytest.mark.parametrize("shape", mesh.CANONICAL_SHAPES)
+def test_canonical_meshes_are_bit_identical(shape):
+    got = []
+    for level in range(1, 7):
+        m = mesh.generate_canonical(shape, level)
+        got.append(array_digest(m.vertices, m.triangles, m.tri_regions,
+                                m.boundary_edges, m.edge_tags))
+    assert got == MESH_DIGESTS[shape]
