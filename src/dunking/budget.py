@@ -89,9 +89,8 @@ def solve_phi(mesh: Mesh2D, fields: FieldSet) -> PhiResult:
 def _phi(mesh: Mesh2D, op: ConstrainedOperator, gs: GeometryStats,
          eta: np.ndarray) -> tuple[float, np.ndarray]:
     """(phi, psi) for one eta on the factored constrained stiffness."""
-    from .fem import boundary_mass, solve_constrained
-    ones = np.ones(mesh.num_vertices)
-    rhs = (gs.gamma * op.c - boundary_mass(mesh, eta) @ ones)
+    from .fem import boundary_load, solve_constrained
+    rhs = gs.gamma * op.c - boundary_load(mesh, eta)
     rhs /= np.sqrt(gs.area)
     psi = solve_constrained(op, rhs).u
     return float(psi @ (op.A @ psi)), psi

@@ -358,6 +358,10 @@ def cmd_learn_q(cfg):
     from . import lengthscale as ls_mod
     if cfg["eval_s"] is not None and cfg["surrogate"] is None:
         raise ConfigError("--eval-s and --eval-theta need --surrogate")
+    unused = [_flag(k) for k in ("Re", "Nu") if cfg[k] is not None]
+    if cfg["samples"] is not None and unused:
+        raise ConfigError(f"{', '.join(unused)} cannot be combined with "
+                          "--samples")
     corr = corr_mod.get_correlation(cfg["correlation"],
                                     Re_tr=cfg["re_transition"])
     rows = [("correlation", cfg["correlation"])]

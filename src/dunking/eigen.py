@@ -13,11 +13,11 @@ Two kinds of solves are needed:
 Both go through one ARPACK call, ``scipy.sparse.linalg.eigsh`` in
 shift-invert mode.  Unconstrained problems shift slightly below the PSD
 spectrum and let scipy factor ``A - sigma*Mrhs``.  Mean-constrained
-problems shift by 0 and supply the inverse themselves: the bordered
-(saddle-point) factor that ``fem.factor_constrained`` builds maps x to the
-mean-zero u with ``A u + m c = x``, which is well defined although the
-stiffness alone is singular.  The caller (``budget.shape_constants``)
-factors once; mu, Lambda and every phi solve on the same mesh share it.
+problems shift by 0 and supply the inverse themselves: the pinned SPD
+factor that ``fem.factor_constrained`` builds maps x to the mean-zero u
+with ``A u + m c = x``, which is well defined although the stiffness alone
+is singular.  The caller (``budget.shape_constants``) factors once; mu,
+Lambda and every phi solve on the same mesh share it.
 Constrained solves use a Lanczos basis of ``max(2k+1, 8)`` vectors, capped
 at the rank the operator leaves (it annihilates the constants and, for the
 boundary mass, the interior nodes), and ARPACK stops at ``ARPACK_TOL``, not
@@ -62,8 +62,8 @@ def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
                      ) -> list[EigenPair]:
     """k smallest eigenpairs of ``A v = lambda Mrhs v``.
 
-    With ``constraint`` given (A bordered by a weight vector c and factored
-    by ``fem.factor_constrained``), the problem is restricted to the
+    With ``constraint`` given (A with a weight vector c, factored by
+    ``fem.factor_constrained``), the problem is restricted to the
     subspace ``c . v = 0`` and each pair's residual, measured modulo the
     constraint multiplier, must stay below ``RES_TOL``.  Returned vectors
     are normalized in the Mrhs inner product (a seminorm when Mrhs is
@@ -92,10 +92,9 @@ def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
         if k >= avail:
             raise ValueError(
                 f"k={k} exceeds the available constrained spectrum ({avail})")
-        lu = constraint.lu
 
         def solve(x):
-            return lu.solve(np.append(x, 0.0))[:n]
+            return constraint.solve(x)[0]
 
         # ARPACK needs k < ncv <= rank
         shift = dict(sigma=0.0, v0=solve(Mrhs @ rng.standard_normal(n)),

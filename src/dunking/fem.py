@@ -1,5 +1,6 @@
 """P1 finite element core: coefficient fields, assembly of the volume/boundary
-bilinear forms, and the factored mean-constrained operator.
+bilinear forms, and the factored mean-constrained operator, a pinned SPD
+factor of the stiffness that serves every mean-zero solve.
 
 Conventions for a mesh with nv vertices, nt triangles, nb boundary edges:
 
@@ -225,30 +226,66 @@ def boundary_mass(mesh: Mesh2D, eta: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
 
 
+def boundary_load(mesh: Mesh2D, eta: np.ndarray) -> np.ndarray:
+    """boundary_mass(mesh, eta) @ 1 without the matrix: int eta phi_i.
+
+    On an edge of length L, endpoint a gets L (ea/3 + eb/6) and endpoint b
+    gets L (ea/6 + eb/3).
+    """
+    e = mesh.boundary_edges
+    lens = mesh.edge_lengths()
+    ea, eb = eta[:, 0], eta[:, 1]
+    return np.bincount(e.ravel(order="F"),
+                       np.concatenate([lens * (ea / 3.0 + eb / 6.0),
+                                       lens * (ea / 6.0 + eb / 3.0)]),
+                       minlength=mesh.num_vertices)
+
+
 # ---------------------------------------------------- mean-constrained operator
 
 @dataclasses.dataclass(frozen=True)
 class ConstrainedOperator:
-    """A, the constraint weights c and the LU factor of [[A, c], [c^T, 0]]."""
+    """A, the constraint weights c and the LU factor of A + A[0,0] e0 e0^T."""
     A: sp.spmatrix
     c: np.ndarray
     lu: spla.SuperLU
 
+    def solve(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """(u, m) with A u + m c = x and c . u = 0.
+
+        1 . (A u) = 0 fixes m = 1.x / 1.c; the pinned factor then solves the
+        compatible A w = x - m c, and shifting w by a constant enforces c.u = 0.
+        """
+        m = float(x.sum()) / float(self.c.sum())
+        w = self.lu.solve(x - m * self.c)
+        return w - float(self.c @ w) / float(self.c.sum()), m
+
 
 def factor_constrained(A: sp.spmatrix, c: np.ndarray) -> ConstrainedOperator:
-    """Factor the bordered matrix [[A, c], [c^T, 0]] once.
+    """Factor the pinned matrix A + A[0,0] e0 e0^T once.
 
     Every mean-constrained solve on one operator (each phi right-hand side,
     every shift-invert step of the stability eigensolves) reuses the
-    factor.  A is symmetric with the constant vector in (or near) its
-    kernel, so the bordered system is symmetric indefinite.
+    factor.  A is symmetric positive semidefinite with the constants as its
+    kernel, so grounding node 0 makes it SPD, and the pinned matrix solves
+    A w = r exactly for every r with 1 . r = 0.  A symmetric minimum-degree
+    ordering with diagonal pivots keeps the fill of the SPD factor low.
     """
     n = A.shape[0]
     c = np.asarray(c, dtype=float)
     if c.shape != (n,):
         raise ValueError("constraint must be a length-n weight vector")
-    K = sp.bmat([[A, c[:, None]], [c[None, :], None]], format="csc")
-    return ConstrainedOperator(A, c, spla.splu(K))
+    diag = A.diagonal()
+    ratio = np.abs(A @ np.ones(n)).max() / diag.max()
+    if not ratio <= 1e-10:
+        raise ValueError(f"constants are not in the kernel of A: "
+                         f"||A.1||_inf / max A_ii = {ratio:.3e} exceeds 1e-10")
+    K = sp.csc_matrix(A, copy=True)
+    K[0, 0] += diag[0]
+    K.eliminate_zeros()  # entries that cancel in assembly only add fill
+    return ConstrainedOperator(A, c, spla.splu(
+        K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True}))
 
 
 @dataclasses.dataclass
@@ -278,8 +315,7 @@ def solve_constrained(op: ConstrainedOperator, rhs: np.ndarray) -> ConstrainedSo
             f"incompatible right-hand side: |1.rhs| = {ones_dot:.3e} exceeds "
             f"{COMPAT_TOL:g} * ||rhs|| = {COMPAT_TOL * nrm:.3e}"
         )
-    sol = op.lu.solve(np.concatenate([rhs, [0.0]]))
-    u, mult = sol[:n], float(sol[n])
+    u, mult = op.solve(rhs)
     res = np.linalg.norm(A @ u + mult * c - rhs) / nrm
     res = max(res, abs(float(c @ u)) / (np.linalg.norm(c) * max(np.linalg.norm(u), 1e-300)))
     if res > SOLVE_TOL:

@@ -357,6 +357,21 @@ def test_surrogate_evaluation_needs_surrogate(tmp_path, capsys):
     assert not (out / "learn_q_report.txt").exists()
 
 
+@pytest.mark.parametrize("extra,named", [
+    (("--Re", "100", "--Nu", "5"), "--Re, --Nu"),
+    (("--Nu", "5"), "--Nu"),
+], ids=["Re-Nu", "Nu"])
+def test_learn_q_samples_refuse_re_nu(tmp_path, capsys, extra, named):
+    src = tmp_path / "samples.csv"
+    src.write_text("Re,Nu,Pr\n100,5,0.71\n")
+    code, out = run(tmp_path / "out", "learn-q", "--correlation",
+                    "ranz_marshall", "--samples", str(src), *extra)
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"config error: {named} cannot be combined with --samples\n"
+    assert not out.exists()
+
+
 def test_help_lists_every_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
