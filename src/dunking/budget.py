@@ -24,7 +24,7 @@ reference tables from it.
 
 The finite-element layers (mesh, fem, eigen) and the scipy they load are
 imported inside the functions that solve on a mesh, so the scalar budget
-(``assemble_budget``, ``phi_bound``, ``budget_report_rows``, ``exp_gap*``,
+(``assemble_budget``, ``phi_bound``, ``budget_report_rows``,
 ``short_time_asymptotics``) costs no scipy import.
 """
 
@@ -354,18 +354,6 @@ def lambda1_expansion_check(mesh: Mesh2D, fields: FieldSet,
     design = np.column_stack([Bs, Bs ** 2])
     coef, *_ = np.linalg.lstsq(design, np.asarray(lams), rcond=None)
     return float(coef[0]), float(-coef[1])
-
-
-def exp_gap(z, eps):
-    """|exp(-z*(1-eps)) - exp(-z)|."""
-    z = np.asarray(z, dtype=float)
-    return np.abs(np.exp(-z * (1.0 - eps)) - np.exp(-z))
-
-
-def exp_gap_bound(eps) -> float:
-    """Uniform-in-z bound eps/e + eps^2 for the exponential gap,
-    valid for z >= 0 and 0 <= eps <= 1/2."""
-    return eps / np.e + eps ** 2
 
 
 # ------------------------------------------------------------ short time

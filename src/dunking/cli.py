@@ -23,7 +23,7 @@ import numpy as np
 
 # budget, fem, mesh, rhe and lengthscale are imported by the subcommands
 # that use them: importing this module loads no scipy, and neither do
-# bounds, lcm, correlate, steady-state and learn-q
+# bounds, lcm, correlate, steady-state, learn-q and fit-shape
 from . import correlations as corr_mod
 from . import lcm as lcm_mod
 from . import series as series_mod
@@ -408,19 +408,34 @@ FITSHAPE_OPTS = {
     "--points": dict(help="CSV x,y,z surface point cloud"),
     "--generate": dict(choices=("spheroid", "sphere", "cuboid"),
                        help="sample a synthetic cloud of --n points"),
-    "--a": dict(type=float, default=1.0, help="spheroid symmetry semi-axis"),
-    "--b": dict(type=float, default=1.0, help="spheroid equatorial semi-axis"),
-    "--theta": dict(type=float, default=0.0, help="angle of attack, degrees"),
-    "--lx": dict(type=float, default=1.0),
-    "--ly": dict(type=float, default=1.0),
-    "--lz": dict(type=float, default=1.0),
-    "--n": dict(type=int, default=500, help="number of sampled points"),
+    "--a": dict(type=float, help="spheroid symmetry semi-axis"),
+    "--b": dict(type=float, help="spheroid equatorial semi-axis"),
+    "--theta": dict(type=float, help="angle of attack, degrees"),
+    "--lx": dict(type=float),
+    "--ly": dict(type=float),
+    "--lz": dict(type=float),
+    "--n": dict(type=int, help="number of sampled points"),
 }
+# The cloud options each source reads, with their defaults.  They have no
+# argparse default, so that a given option the source does not read is
+# refused; the manifest lists every one, given or default.
+CLOUD_DEFAULTS = {"a": 1.0, "b": 1.0, "theta": 0.0, "lx": 1.0, "ly": 1.0,
+                  "lz": 1.0, "n": 500}
+CLOUD_READS = {None: (), "sphere": ("n",),
+               "spheroid": ("a", "b", "theta", "n"),
+               "cuboid": ("lx", "ly", "lz", "n")}
 
 
 def cmd_fit_shape(cfg):
     from . import lengthscale as ls_mod
     kind = cfg["generate"]
+    unread = [_flag(k) for k in CLOUD_DEFAULTS
+              if cfg[k] is not None and k not in CLOUD_READS[kind]]
+    if unread:
+        source = "--points" if kind is None else f"--generate {kind}"
+        raise ConfigError(f"{', '.join(unread)} cannot be combined with "
+                          f"{source}")
+    cfg.update({k: v for k, v in CLOUD_DEFAULTS.items() if cfg[k] is None})
     if kind is None:
         _, pts = series_mod.read_table(cfg["points"], "x,", None)
     else:

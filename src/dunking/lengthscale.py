@@ -259,23 +259,94 @@ def _coarse_direction(Xt: np.ndarray) -> np.ndarray:
     return dirs[:, cand[int(np.argmin(_widths(Xt, dirs[:, cand])))]]
 
 
+class _BudgetSpent(Exception):
+    """_nelder_mead's objective has been called its maximum number of times."""
+
+
+def _nelder_mead(func, x0, xatol, fatol):
+    """(x, func(x)) at the minimum of func found by the Nelder-Mead simplex
+    method (Nelder & Mead 1965) from x0, stopped once the simplex spans at
+    most xatol in every coordinate and fatol in func.
+
+    This is scipy 1.17.1's minimize(method="Nelder-Mead") at its defaults,
+    with the same arithmetic in the same order, so x and func(x) match it
+    bit for bit: coefficients 1, 2, 0.5 and 0.5; a first simplex that
+    scales each coordinate of x0 by 1.05 (0.00025 for a zero one); an
+    argsort of the vertices after the first evaluations and after every
+    step; func called on a copy of x.  It stops after 200 n evaluations for
+    n = len(x0), cutting short the step under way.  scipy's cap of 200 n
+    steps never binds first, since n + 1 evaluations come before step 1.
+    """
+    n = len(x0)
+    maxfev = 200 * n
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
+    fsim = np.empty(n + 1)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls == maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(x.copy())
+
+    def sort():
+        i = np.argsort(fsim)
+        sim[:], fsim[:] = sim[i], fsim[i]
+
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+    sort()
+    while calls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = 2 * xbar - sim[-1]  # reflect the worst vertex
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]  # expand
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]  # contract outside
+                    fxc = f(xc)
+                    keep = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]  # contract inside
+                    fxc = f(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sort()
+    return sim[0], np.min(fsim)
+
+
 def _min_width(Xt: np.ndarray):
     """Global minimum width of the cloud over all directions.
 
-    Coarse hemisphere scan followed by a simplex polish; the width function
-    is piecewise smooth in the direction, so this localizes the minimum
+    Coarse hemisphere scan followed by a simplex polish (_nelder_mead, which
+    matches scipy's Nelder-Mead bit for bit); the width function is
+    piecewise smooth in the direction, so this localizes the minimum
     sharply for convex clouds.  The scan prunes directions by exact lower
     bounds and starts the polish where the exhaustive scan would (see
     _coarse_direction; a sphere prunes none and pays one subsample pass).
     """
-    from scipy.optimize import minimize
-
-    n0 = _coarse_direction(Xt)
-    res = minimize(lambda v: _widths(Xt, v / np.linalg.norm(v)), n0,
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-5, "fatol": 1e-12})
-    n = res.x / np.linalg.norm(res.x)
-    return float(res.fun), n
+    x, fun = _nelder_mead(lambda v: _widths(Xt, v / np.linalg.norm(v)),
+                          _coarse_direction(Xt), xatol=1e-5, fatol=1e-12)
+    return float(fun), x / np.linalg.norm(x)
 
 
 def fit_spheroid(points) -> SpheroidFit:

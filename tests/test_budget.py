@@ -154,11 +154,6 @@ def test_budget_report_rows_format():
     assert rows["asymptotic_regime"] == "false"
 
 
-@given(st.floats(0.0, 50.0), st.floats(0.0, 0.5))
-def test_exp_gap_bound_dominates(z, eps):
-    assert budget.exp_gap(z, eps) <= budget.exp_gap_bound(eps) + 1e-12
-
-
 def test_lambda1_expansion_disk(disk4):
     gs = mesh.geometry_stats(disk4)
     f = uniform_fields(disk4)

@@ -166,6 +166,10 @@ def test_scalar_commands_import_no_scipy(tmp_path):
     samples.write_text("Re,Nu\n50,5\n150,8\n450,13\n")
     grid = tmp_path / "grid.csv"
     grid.write_text("s,theta_deg,q\n1,0,1\n1,90,2\n4,0,1.5\n4,90,2.5\n")
+    points = tmp_path / "points.csv"
+    np.savetxt(points, lengthscale.sample_spheroid_surface(3.0, 1.0, 300,
+                                                           seed=5),
+               delimiter=",", header="x,y,z", comments="")
     runs = [
         ["bounds", "--B", "0.068", "--B-est", "0.0678", "--gamma", "4",
          "--phi", "1.1"],
@@ -178,6 +182,9 @@ def test_scalar_commands_import_no_scipy(tmp_path):
          str(samples), "--Pr", "0.71"],
         ["learn-q", "--correlation", "ranz_marshall", "--surrogate",
          str(grid), "--eval-s", "2", "--eval-theta", "30"],
+        ["fit-shape", "--points", str(points)],
+        ["fit-shape", "--generate", "spheroid", "--a", "3", "--b", "1",
+         "--theta", "30", "--n", "300"],
         ["phi", "--shape", "disk", "--levels", "2"],
     ]
     runs = [argv + ["--output-dir", str(tmp_path / str(i))]
@@ -344,6 +351,45 @@ def test_fit_shape_takes_points_or_generate(tmp_path, capsys, argv, message):
                     *[str(points) if a == "POINTS" else a for a in argv])
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--generate", "sphere", "--a", "3", "--theta", "40"),
+     "--a, --theta cannot be combined with --generate sphere"),
+    (("--generate", "cuboid", "--b", "2"),
+     "--b cannot be combined with --generate cuboid"),
+    (("--generate", "spheroid", "--lx", "2", "--lz", "0.5"),
+     "--lx, --lz cannot be combined with --generate spheroid"),
+    (("--generate", "sphere", "--ly", "3"),
+     "--ly cannot be combined with --generate sphere"),
+    (("--points", "POINTS", "--n", "7"),
+     "--n cannot be combined with --points"),
+    (("--points", "POINTS", "--n", "500", "--a", "3"),
+     "--a, --n cannot be combined with --points"),
+], ids=["spheroid-options-on-sphere", "spheroid-option-on-cuboid",
+        "cuboid-options-on-spheroid", "cuboid-option-on-sphere",
+        "n-with-points", "n-and-a-with-points"])
+def test_fit_shape_refuses_options_its_cloud_ignores(tmp_path, capsys, argv,
+                                                     message):
+    points = tmp_path / "points.csv"
+    np.savetxt(points, lengthscale.sample_spheroid_surface(2.0, 1.0, 50,
+                                                           seed=3),
+               delimiter=",", header="x,y,z", comments="")
+    code, out = run(tmp_path / "out", "fit-shape",
+                    *[str(points) if a == "POINTS" else a for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_fit_shape_refuses_ignored_options_from_config_file(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("generate = sphere\nlx = 2\n")
+    code, out = run(tmp_path / "out", "fit-shape", "--config", str(cfgfile))
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: --lx cannot be combined with --generate sphere\n"
     assert not out.exists()
 
 
@@ -777,7 +823,11 @@ def test_manifest_lists_resolved_options_sorted(tmp_path):
      "command = correlate\nPr = 0.71\nRe = 100\nname = ranz_marshall\n"
      "output_dir = {out}\nq = None\nr2 = None\nre_transition = 500000\n"
      "seed = 0\nstrict = false\n"),
-], ids=["rhe", "correlate"])
+    (("fit-shape", "--generate", "sphere", "--n", "50"),
+     "command = fit-shape\na = 1\nb = 1\ngenerate = sphere\nlx = 1\nly = 1\n"
+     "lz = 1\nn = 50\noutput_dir = {out}\npoints = None\nseed = 0\n"
+     "theta = 0\n"),
+], ids=["rhe", "correlate", "fit-shape"])
 def test_default_manifest_text(tmp_path, argv, expected):
     """Every default (bool, None, int, float) is echoed in its own format."""
     code, out = run(tmp_path, *argv)

@@ -281,6 +281,51 @@ def test_fit_memory_is_bounded():
     assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
+def _assert_nelder_mead_matches_scipy(func, x0, xatol, fatol):
+    """Asserts _nelder_mead's x and fun carry scipy's bits, with as many
+    calls of func, and returns that count."""
+    # scipy is the oracle here only; the library carries its own simplex
+    from scipy.optimize import minimize
+    calls = []
+    x, fun = ls._nelder_mead(lambda v: calls.append(v) or func(v), x0,
+                             xatol, fatol)
+    ref = minimize(func, x0, method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": fatol})
+    assert x.tobytes() == ref.x.tobytes()
+    assert float(fun).hex() == float(ref.fun).hex()
+    assert len(calls) == ref.nfev
+    return len(calls)
+
+
+def _zero_only_at(x0):
+    # 0 at x0 and 1 elsewhere: no reflection or contraction ever improves
+    # on the worst vertex, so every step ends in a shrink towards x0
+    return lambda v: 0.0 if v.tolist() == list(x0) else 1.0
+
+
+def test_nelder_mead_shrinks_like_scipy():
+    # the first simplex spans 0.05; 13 shrinks bring it under xatol
+    x0 = np.ones(3)
+    calls = _assert_nelder_mead_matches_scipy(_zero_only_at(x0), x0,
+                                              xatol=1e-5, fatol=1.0)
+    assert calls == 4 + 13 * 5   # reflect, contract, shrink 3 vertices
+
+
+# n + 1 calls build the first simplex and each step takes n + 2: 600 calls
+# end 1 call into step 120 (its reflection), 800 end 3 calls into step 133,
+# inside its shrink
+@pytest.mark.parametrize("n", [3, 4], ids=["cut-after-reflection",
+                                           "cut-inside-shrink"])
+def test_nelder_mead_stops_after_200n_calls_like_scipy(n):
+    # the values 0 and 1 never agree to fatol, and no vertex shrinks onto
+    # x0 = 0 within the budget (0.00025 / 2^133 is far above the smallest
+    # subnormal)
+    x0 = np.zeros(n)
+    calls = _assert_nelder_mead_matches_scipy(_zero_only_at(x0), x0,
+                                              xatol=1e-5, fatol=0.5)
+    assert calls == 200 * n
+
+
 def test_prolate_fit_recovers_shape_and_attack_angle():
     pts = ls.sample_spheroid_surface(5.0, 1.0, n=500, theta_deg=30.0, seed=11)
     fit = ls.fit_spheroid(pts)
@@ -439,6 +484,17 @@ try:
         dirs = ls._scan_directions()
         ref = dirs[:, int(np.argmin(ls._widths(Xt, dirs)))]
         assert ls._coarse_direction(Xt).tolist() == ref.tolist()
+
+    # the polish _min_width runs, from the start it takes
+    @given(st.sampled_from(["spheroid", "cuboid"]), st.floats(0.2, 5.0),
+           st.integers(10, 3000), st.integers(0, 2 ** 32 - 1), st.booleans())
+    @example(kind="spheroid", s=5.0, n=20000, seed=2, rotate=True)
+    @example(kind="cuboid", s=1.0, n=2049, seed=0, rotate=False)
+    def test_nelder_mead_matches_scipy(kind, s, n, seed, rotate):
+        Xt = _cloud(kind, s, n, seed, rotate)
+        _assert_nelder_mead_matches_scipy(
+            lambda v: ls._widths(Xt, v / np.linalg.norm(v)),
+            ls._coarse_direction(Xt), xatol=1e-5, fatol=1e-12)
 
     @given(st.floats(min_value=0.05, max_value=20.0),
            st.floats(min_value=10.0, max_value=8000.0),
