@@ -9,8 +9,9 @@ heat-transfer profiles into mean-1 variation functions with variances.
 from __future__ import annotations
 
 import dataclasses
-import io
+import itertools
 import math
+import operator
 import re
 import warnings
 
@@ -30,91 +31,76 @@ class NusseltSeries:
     length_scale: str | None = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.nu_avg = np.asarray(self.nu_avg, dtype=float)
+        # C order: the window averages of steady_state_detect would copy a
+        # strided column on every np.interp and searchsorted call
+        self.times = np.asarray(self.times, dtype=float, order="C")
+        self.nu_avg = np.asarray(self.nu_avg, dtype=float, order="C")
         if self.times.ndim != 1 or self.times.shape != self.nu_avg.shape:
             raise ValueError("times and nu_avg must be matching 1D arrays")
         if self.times.size == 0:
             raise ValueError("the series has no samples")
         if not np.all(np.isfinite(self.times)):
             raise ValueError("times contains non-finite values")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(self.times[1:] <= self.times[:-1]):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(self.nu_avg)):
             raise ValueError("nu_avg contains non-finite values")
 
 
-_META_LINE = re.compile(r"[ \t]*#[ \t]*(\w+)[ \t]*=[ \t]*(.*?)[ \t]*")
-
-
-def _parse_rows(body: bytes, usecols) -> np.ndarray:
-    # an empty body is for the caller to reject; bytes, not a StringIO,
-    # which left ~45 MB resident after a 200 001-row read returned
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(io.BytesIO(body), delimiter=",", comments="#",
-                          usecols=usecols, ndmin=2, encoding="utf-8")
-
-
-def _first_bad_line(lines: list[bytes], usecols) -> tuple[int, str]:
-    """(index, error) of the first of `lines` that _parse_rows rejects.
-    A row fails alone or by a column count other than the first row's, so a
-    bisection over windows parsed after the first row parses about
-    len(lines) lines in all; loadtxt's row number skips empty lines."""
-    lo = next(k for k, line in enumerate(lines) if line)
-    first, hi = lines[lo], len(lines)  # lines[:lo] parse, lines[:hi] do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _parse_rows(b"\n".join([first, *lines[lo:mid]]), usecols)
-            lo = mid
-        except ValueError:
-            hi = mid
-    try:
-        _parse_rows(b"\n".join([first, lines[lo]]), usecols)
-    except ValueError as exc:
-        return lo, re.sub(r" at row \d+|; use `usecols`.*", "", str(exc))
-    raise AssertionError("a failing prefix must end in a failing line")
+_META_LINE = re.compile(r"[ \t]*#[ \t]*(\w+)[ \t]*=[ \t]*(.*?)[ \t]*\n?")
 
 
 def read_table(path, header: str, usecols):
-    """(metadata, body) of a numeric CSV from one pass over its bytes (LF,
-    CRLF or lone-CR line ends).  Only lines whose first byte cannot start a
-    number are decoded: blank ones, comments (`# key = value` is metadata)
-    and ones starting with `header` (any case) are cut, the rest are rows.
-    The `usecols` columns (all when None) form the 2-D body; errors name
-    `path` and the 1-based file line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:  # the line ends text mode reads
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    starts = np.r_[0, np.flatnonzero(raw[:-1] == 10) + 1][:raw.size]
-    odd = starts[~np.isin(raw[starts], list(b"0123456789+-.\n"))]
-    meta, cuts = {}, [0]
-    for start in odd.tolist():
-        stop = data.find(b"\n", start)
-        stop = len(data) if stop < 0 else stop
+    """(metadata, body) of a numeric UTF-8 CSV (LF, CRLF or lone-CR line
+    ends), streamed into one loadtxt call.  Blank lines, comments
+    (`# key = value` is metadata) and lines starting with `header` (a word,
+    any case) are cut, the rest are rows.  The `usecols` columns (all when
+    None) form the 2-D body; errors name `path` and the 1-based file line."""
+    meta, undecodable, read, rest = {}, {}, 0, iter(())
+
+    def batches(fh):
+        # ~64 KiB of lines at a time; a cut line is made empty, which loadtxt
+        # skips but counts
+        nonlocal read, rest
+        while batch := fh.readlines(1 << 16):
+            # an ASCII line starting with one of "+,-./0-9" is never cut
+            if min(batch) < "+" or max(batch) >= ":" or \
+                    not all(map(str.isascii, batch)):
+                for k, line in enumerate(batch):
+                    if not line.isascii():  # undecodable bytes come escaped
+                        try:
+                            line.rstrip("\n").encode(
+                                errors="surrogateescape").decode()
+                        except UnicodeDecodeError as exc:
+                            undecodable[read + k + 1] = exc
+                            batch[k] = "?\n"  # a row loadtxt rejects
+                            continue
+                    head = line.lstrip(" \t")
+                    if (head[:1] in ("", "\n", "#")
+                            or head[:len(header)].lower() == header):
+                        if match := _META_LINE.fullmatch(line):
+                            meta[match[1]] = match[2]
+                        batch[k] = "\n"
+            read += len(batch)
+            rest = iter(batch)
+            yield rest
+
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh, \
+            warnings.catch_warnings():
+        # an empty body is for the caller to reject
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            line = data[start:stop].decode()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: line {data.count(10, 0, start) + 1}: "
-                             f"{exc}") from exc
-        head = line.lstrip(" \t")
-        if not head or head[0] == "#" or head.lower().startswith(header):
-            cuts += (start, stop)
-            if match := _META_LINE.fullmatch(line):
-                meta[match[1]] = match[2]
-    # a cut line leaves its line end, so body line k is file line k + 1
-    with memoryview(data) as view:
-        body = b"".join(view[a:b] for a, b in
-                        zip(cuts[::2], cuts[1::2] + [len(data)]))
-    del data, raw
-    try:
-        return meta, _parse_rows(body, usecols)
-    except ValueError as exc:
-        k, msg = _first_bad_line(body.split(b"\n"), usecols)
-        raise ValueError(f"{path}: line {k + 1}: {msg}") from exc
+            body = np.loadtxt(itertools.chain.from_iterable(batches(fh)),
+                              delimiter=",", comments="#", usecols=usecols,
+                              ndmin=2)
+        except ValueError as exc:
+            # loadtxt pulls one line at a time: the failing line is the last
+            # one it took from the batch `rest` iterates
+            line_no = read - operator.length_hint(rest)
+            msg = re.sub(r" at row \d+|; use `usecols`.*", "",
+                         str(undecodable.get(line_no, exc)))
+            raise ValueError(f"{path}: line {line_no}: {msg}") from exc
+    return meta, body
 
 
 def read_series(path, **metadata) -> NusseltSeries:
@@ -125,16 +111,18 @@ def read_series(path, **metadata) -> NusseltSeries:
     t, nu = body.T
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{path}: non-finite time stamp {t[~np.isfinite(t)][0]}")
-    # unique over the reversed stamps keeps each stamp's last occurrence
-    ts, first = np.unique(t[::-1], return_index=True)
-    if len(ts) < len(t):
-        warnings.warn(f"duplicated time stamps: {len(t) - len(ts)}; "
-                      "keeping the last value of each")
+    if not np.all(t[1:] > t[:-1]):
+        # unique over the reversed stamps keeps each stamp's last occurrence
+        ts, first = np.unique(t[::-1], return_index=True)
+        if len(ts) < len(t):
+            warnings.warn(f"duplicated time stamps: {len(t) - len(ts)}; "
+                          "keeping the last value of each")
+        t, nu = ts, nu[::-1][first]
     kwargs = {key: float(meta[key]) for key in ("Re", "Pr", "r1", "r2")
               if key in meta}
     if "length_scale" in meta:
         kwargs["length_scale"] = meta["length_scale"]
-    return NusseltSeries(ts, nu[::-1][first], **{**kwargs, **metadata})
+    return NusseltSeries(t, nu, **{**kwargs, **metadata})
 
 
 def write_series(series: NusseltSeries, path) -> None:
@@ -336,16 +324,3 @@ def eta_profile_stats(coords, values, periodic: bool = False,
     var = piecewise_linear_variance(h, a, b, mean)
     return EtaProfile(coords=coords, eta=values / mean, variance=var,
                       periodic=periodic, period=period if periodic else None)
-
-
-def read_profile(path) -> EtaProfile:
-    meta, body = read_table(path, "coord", (0, 1))
-    return eta_profile_stats(body[:, 0], body[:, 1],
-                             periodic=meta.get("periodic", "").lower() == "true")
-
-
-def write_profile(profile: EtaProfile, path) -> None:
-    np.savetxt(path, np.column_stack([profile.coords, profile.eta]),
-               fmt="%.17g", delimiter=",", comments="",
-               header=f"# periodic={'true' if profile.periodic else 'false'}\n"
-                      "coord,eta")

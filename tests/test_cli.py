@@ -690,6 +690,33 @@ def test_malformed_series_rows_are_config_errors(tmp_path, capsys, rows,
     assert f"config error: {src}: " in err and message in err
 
 
+def _long_series(eol, line, bad):
+    """SERIES_META and 200 000 rows, one in 10 000 a comment, joined by
+    `eol`, with file line `line` replaced by `bad`."""
+    rows = [b"# %d" % k if k % 10_000 == 0 else b"%d,7.25" % k
+            for k in range(200_000)]
+    lines = SERIES_META.encode().splitlines() + rows
+    lines[line - 1] = bad
+    return eol.join(lines) + eol
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("line,bad,message", [
+    (150_000, b"149994,7.2x5",
+     "line 150000: could not convert string '7.2x5' to float64, column 2."),
+    (123_457, b"123451,7.2\xff5",
+     "line 123457: 'utf-8' codec can't decode byte 0xff in position 10: "
+     "invalid start byte"),
+], ids=["bad-value", "non-utf8"])
+def test_long_series_errors_name_the_file_line(tmp_path, capsys, eol, line,
+                                               bad, message):
+    src = tmp_path / "input.csv"
+    src.write_bytes(_long_series(eol, line, bad))
+    code, _ = run(tmp_path, "steady-state", "--series", str(src))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {src}: {message}\n"
+
+
 def test_two_column_surrogate_is_config_error(tmp_path, capsys):
     src = tmp_path / "grid.csv"
     src.write_text("s,theta_deg\n1,0\n4,90\n")
@@ -923,14 +950,6 @@ def _steady_state_report(tmp_path, monkeypatch):
     return tmp_path / "out.csv"
 
 
-def _eta_profile(tmp_path, monkeypatch):
-    prof = series.EtaProfile(np.array([0.0, 0.5, 1.0]),
-                             np.array([1.0, 0.1, 1.0 / 3.0]), variance=0.0,
-                             periodic=True, period=1.5)
-    series.write_profile(prof, tmp_path / "out.csv")
-    return tmp_path / "out.csv"
-
-
 @pytest.mark.parametrize("writer,expected", [
     (_lcm_series, "t,u_lumped\n0,1\n0.5,0.10000000000000001\n"
                   "1,9.9999999999999694e-311\n"),
@@ -955,8 +974,6 @@ def _eta_profile(tmp_path, monkeypatch):
      "1,1,0.55000000000000004,0.10000000000000001,nan\n"
      "2,1.5,0.59999999999999998,0.33333333333333331,"
      "9.9999999999999694e-311\n"),
-    (_eta_profile, "# periodic=true\ncoord,eta\n0,1\n"
-                   "0.5,0.10000000000000001\n1,0.33333333333333331\n"),
 ], ids=lambda v: v.__name__.lstrip("_") if callable(v) else None)
 def test_csv_writer_bytes(tmp_path, monkeypatch, writer, expected):
     path = writer(tmp_path, monkeypatch)
