@@ -153,10 +153,11 @@ def composite_sigma_variance(fractions, rho_c) -> float:
     rc = np.asarray(rho_c, dtype=float)
     if v.shape != rc.shape:
         raise ValueError("fractions and rho_c must have matching lengths")
-    if np.any(v <= 0) or abs(v.sum() - 1.0) > 1e-12:
-        raise ValueError("fractions must be positive and sum to 1")
-    if np.any(rc <= 0):
-        raise ValueError("volumetric heat capacities must be positive")
+    if not (np.all(v > 0) and abs(v.sum() - 1.0) <= 1e-12):
+        raise ValueError("fractions must be finite, positive and sum to 1")
+    if not np.all((rc > 0) & (rc < np.inf)):
+        raise ValueError("rho_c (volumetric heat capacities) must be finite "
+                         "and positive")
     avg = float(v @ rc)
     return float(v @ (rc / avg - 1.0) ** 2)
 
@@ -365,11 +366,12 @@ def short_time_asymptotics(r1: float, r2: float, t) -> tuple[float, np.ndarray]:
     u = 1/(1 + sqrt(r1*r2)), and the Nusselt number follows the
     one-dimensional similarity decay Nu = sqrt(r1/r2)/sqrt(pi*t).
     """
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("r1 and r2 must be positive")
+    for name, v in (("r1", r1), ("r2", r2)):
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t must be positive")
+    if not np.all((t > 0) & (t < np.inf)):
+        raise ValueError("t must be finite and positive")
     u_interface = 1.0 / (1.0 + np.sqrt(r1 * r2))
     nu = np.sqrt(r1 / r2) / np.sqrt(np.pi * t)
     if nu.ndim == 0:

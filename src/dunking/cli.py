@@ -94,7 +94,6 @@ GLOBAL_OPTS = {
     "--output-dir": dict(help="output directory (default: "
                          f"${OUTPUT_DIR_ENV} or the working directory)"),
     "--config": dict(help="flat key = value config file; flags win"),
-    "--seed": dict(type=int, default=0, help="RNG seed for sampling commands"),
 }
 
 _CONFIG_PARSER = _Parser(add_help=False)
@@ -415,15 +414,16 @@ FITSHAPE_OPTS = {
     "--ly": dict(type=float),
     "--lz": dict(type=float),
     "--n": dict(type=int, help="number of sampled points"),
+    "--seed": dict(type=int, help="RNG seed of the sampled cloud"),
 }
 # The cloud options each source reads, with their defaults.  They have no
 # argparse default, so that a given option the source does not read is
 # refused; the manifest lists every one, given or default.
 CLOUD_DEFAULTS = {"a": 1.0, "b": 1.0, "theta": 0.0, "lx": 1.0, "ly": 1.0,
-                  "lz": 1.0, "n": 500}
-CLOUD_READS = {None: (), "sphere": ("n",),
-               "spheroid": ("a", "b", "theta", "n"),
-               "cuboid": ("lx", "ly", "lz", "n")}
+                  "lz": 1.0, "n": 500, "seed": 0}
+CLOUD_READS = {None: (), "sphere": ("n", "seed"),
+               "spheroid": ("a", "b", "theta", "n", "seed"),
+               "cuboid": ("lx", "ly", "lz", "n", "seed")}
 
 
 def cmd_fit_shape(cfg):

@@ -1,10 +1,10 @@
 """Empirical Nusselt correlations, shape length scales, and transforms.
 
 Registry of four standard forced-convection correlations with their validity
-ranges, the four length-scale functions over simple convex bodies, the
-Reynolds/Nusselt transforms between two length scales, and the
-Biot-from-Nusselt conversion  B = r2 * Nu.  Material property ratios for
-common solid/fluid pairs ship as bundled CSV reference data.
+ranges, the four length-scale functions over simple convex bodies, a
+correlation's evaluation in another length scale, and the Biot-from-Nusselt
+conversion  B = r2 * Nu.  Property ratios for common solid/fluid pairs are
+computed from bundled material data.
 """
 
 from __future__ import annotations
@@ -188,20 +188,6 @@ def eval_correlation(corr: Correlation, Re, Pr, strict: bool = False):
     return float(corr.evaluator(Re, Pr)), ok
 
 
-def reynolds_transform(Re_in_D1, q: float):
-    """Re based on D2 from Re based on D1, where q = D1/D2."""
-    if q <= 0:
-        raise ValueError("length scale ratio must be positive")
-    return Re_in_D1 / q
-
-
-def nusselt_transform(Nu_in_D1, q: float):
-    """Nu based on D2 from Nu based on D1, where q = D1/D2."""
-    if q <= 0:
-        raise ValueError("length scale ratio must be positive")
-    return Nu_in_D1 / q
-
-
 def transform_correlation(corr: Correlation, q: float, Re_in_D2, Pr,
                           strict: bool = False):
     """Evaluate corr expressed in length scale D2 = D1/q.
@@ -209,8 +195,8 @@ def transform_correlation(corr: Correlation, q: float, Re_in_D2, Pr,
     Nu[D2] = q^{-1} * corr(q * Re[D2], Pr); validity is checked at the
     correlation's native argument q*Re.  Returns (Nu, in_range_flag).
     """
-    if q <= 0:
-        raise ValueError("length scale ratio must be positive")
+    if not 0 < q < math.inf:
+        raise ValueError("q (length scale ratio) must be finite and positive")
     nu1, ok = eval_correlation(corr, q * float(Re_in_D2), Pr, strict=strict)
     return nu1 / q, ok
 
@@ -226,44 +212,23 @@ def biot_from_nusselt(r2: float, Nu: float) -> float:
 
 # ------------------------------------------------------ bundled tables
 
-def _read_bundled(name: str) -> list[dict]:
-    ref = resources.files("dunking.data").joinpath(name)
-    with ref.open("r", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def load_materials() -> dict:
     """Thermophysical properties keyed by material name.
 
     Values: dict with kind ('solid'|'fluid'), rho, cp, k, and for fluids
     nu and Pr (None where not applicable).
     """
+    ref = resources.files("dunking.data").joinpath("materials.csv")
+    with ref.open("r", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     out = {}
-    for row in _read_bundled("materials.csv"):
+    for row in rows:
         rec = {"kind": row["kind"], "rho": float(row["rho"]),
                "cp": float(row["cp"]), "k": float(row["k"]),
                "nu": float(row["nu"]) if row["nu"] else None,
                "Pr": float(row["Pr"]) if row["Pr"] else None}
         out[row["material"]] = rec
     return out
-
-
-def _load_ratio(name: str) -> dict:
-    out = {}
-    for row in _read_bundled(name):
-        fluid = row.pop("fluid")
-        out[fluid] = {k: float(v) for k, v in row.items()}
-    return out
-
-
-def load_r1_table() -> dict:
-    """Published volumetric-heat-capacity ratios r1 = (rho c)_f/(rho c)_s."""
-    return _load_ratio("r1_table.csv")
-
-
-def load_r2_table() -> dict:
-    """Published conductivity ratios r2 = k_f/k_s."""
-    return _load_ratio("r2_table.csv")
 
 
 def property_ratios(solid: str, fluid: str) -> tuple:

@@ -9,20 +9,13 @@ import numpy as np
 
 @dataclass
 class LumpedModel:
-    """Single-exponential cooling model u(t) = exp(-B*gamma*t).
+    """Nondimensional single-exponential cooling model u(t) = exp(-B*gamma*t).
 
-    The optional dimensional inputs allow evaluating the dimensional
-    temperature ratio (T(t) - T_inf)/(T_i - T_inf) = exp(-t/tau_dim) with
-    tau_dim = (volume/surface_area) * rho_c_avg / h_avg.
+    B is the Biot number and gamma the surface-to-volume ratio of the body;
+    time is in units of the solid's diffusion time.
     """
     B: float
     gamma: float
-    volume: float | None = None
-    surface_area: float | None = None
-    rho_c_avg: float | None = None
-    h_avg: float | None = None
-    T_inf: float | None = None
-    T_init: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.B < np.inf:
@@ -37,38 +30,17 @@ class LumpedModel:
             return np.inf
         return 1.0 / (self.B * self.gamma)
 
-    @property
-    def has_dimensional(self) -> bool:
-        return None not in (self.volume, self.surface_area,
-                            self.rho_c_avg, self.h_avg)
-
-    @property
-    def tau_eq_dimensional(self) -> float:
-        if not self.has_dimensional:
-            raise ValueError("dimensional inputs not supplied")
-        return (self.volume / self.surface_area) * self.rho_c_avg / self.h_avg
-
 
 def lcm_evaluate(model: LumpedModel, t):
-    """exp(-B*gamma*t); with dimensional inputs, t is dimensional time and
-    the dimensional temperature ratio exp(-t/tau_dim) is returned."""
+    """u(t) = exp(-B*gamma*t) at nondimensional times t >= 0; a float for a
+    scalar t, else an array of t's shape."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("time must be finite")
     if np.any(t < 0):
         raise ValueError("negative time")
-    if model.has_dimensional:
-        out = np.exp(-t / model.tau_eq_dimensional)
-    else:
-        out = np.exp(-model.B * model.gamma * t)
+    out = np.exp(-model.B * model.gamma * t)
     return float(out) if out.ndim == 0 else out
-
-
-def lcm_temperature(model: LumpedModel, t):
-    """Dimensional temperature T_inf + (T_init - T_inf)*ratio."""
-    if model.T_inf is None or model.T_init is None:
-        raise ValueError("temperature endpoints not supplied")
-    return model.T_inf + (model.T_init - model.T_inf) * lcm_evaluate(model, t)
 
 
 @dataclass

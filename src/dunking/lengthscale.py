@@ -94,8 +94,10 @@ def average_q_log(samples) -> float:
     Re, q = np.array(list(samples), dtype=float).reshape(-1, 2).T
     if len(Re) < 2:
         raise ValueError("need at least 2 samples to average")
-    if np.any(Re <= 0):
-        raise ValueError("Re values must be positive")
+    if not np.all((Re > 0) & (Re < np.inf)):
+        raise ValueError("Re values must be finite and positive")
+    if not np.all((q > 0) & (q < np.inf)):
+        raise ValueError("q values must be finite and positive")
     order = np.argsort(Re)
     Re, q = Re[order], q[order]
     if np.any(np.diff(Re) == 0):

@@ -2,7 +2,7 @@
 
 Provides the four canonical shapes (disk, square, equilateral triangle,
 plus-shaped cross), uniform red refinement with curved-boundary projection,
-geometry statistics, and a small text format for mesh exchange.
+and geometry statistics.
 
 All canonical shapes are centered at their centroid.  Successive resolutions
 are nested: ``generate_canonical(shape, r)`` equals the base mesh refined
@@ -408,53 +408,5 @@ def _refine_arrays(p, t, bpos, projector):
     return newverts, newtris, child[order], order
 
 
-def tag_halfplane_regions(mesh: Mesh2D, axis: int = 0) -> Mesh2D:
-    """Split the mesh into two regions by the sign of a coordinate of the
-    triangle centroid (region 0: negative side, region 1: nonnegative side)."""
-    cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    return dataclasses.replace(mesh, tri_regions=(cent[:, axis] >= 0.0).astype(np.int64))
-
-
 def geometry_stats(mesh: Mesh2D) -> GeometryStats:
     return mesh._stats
-
-
-# ---------------------------------------------------------------------- text I/O
-#
-# Format:  header "nv nt nb", then nv lines "x y", nt lines "i j k region",
-# nb lines "i j tag"; 0-based indices, '#' starts a comment.
-
-def write_mesh(mesh: Mesh2D, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.num_vertices} {mesh.num_triangles} {mesh.num_boundary_edges}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for (i, j, k), reg in zip(mesh.triangles, mesh.tri_regions):
-            fh.write(f"{i} {j} {k} {reg}\n")
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.edge_tags):
-            fh.write(f"{i} {j} {tag}\n")
-
-
-def read_mesh(path) -> Mesh2D:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append(line.split())
-    if not rows:
-        raise ValueError(f"{path}: empty mesh file")
-    try:
-        nv, nt, nb = (int(v) for v in rows[0])
-    except Exception as exc:
-        raise ValueError(f"{path}: bad header line") from exc
-    if len(rows) != 1 + nv + nt + nb:
-        raise ValueError(f"{path}: expected {1 + nv + nt + nb} rows, found {len(rows)}")
-    verts = np.array([[float(v) for v in r] for r in rows[1:1 + nv]])
-    tri_rows = rows[1 + nv:1 + nv + nt]
-    tris = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in tri_rows], dtype=np.int64)
-    regions = np.array([int(r[3]) if len(r) > 3 else 0 for r in tri_rows], dtype=np.int64)
-    edge_rows = rows[1 + nv + nt:]
-    bedges = np.array([[int(r[0]), int(r[1])] for r in edge_rows], dtype=np.int64).reshape(nb, 2)
-    tags = np.array([int(r[2]) if len(r) > 2 else 0 for r in edge_rows], dtype=np.int64)
-    return Mesh2D(verts, tris, regions, bedges, tags, None)

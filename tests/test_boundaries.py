@@ -1,0 +1,36 @@
+"""Public library functions refuse non-finite or out-of-domain input and
+name the parameter."""
+import math
+
+import pytest
+
+from dunking import budget
+from dunking import correlations as corr
+from dunking import lengthscale as ls
+
+nan, inf = math.nan, math.inf
+
+CASES = {
+    "composite-fractions-nan": (budget.composite_sigma_variance, ([nan, 1], [1, 2]), "fractions"),
+    "composite-fractions-inf": (budget.composite_sigma_variance, ([inf, 1], [1, 2]), "fractions"),
+    "composite-rho_c-nan": (budget.composite_sigma_variance, ([0.5, 0.5], [nan, 2]), "rho_c"),
+    "composite-rho_c-inf": (budget.composite_sigma_variance, ([0.5, 0.5], [1, inf]), "rho_c"),
+    "short-time-r1-nan": (budget.short_time_asymptotics, (nan, 1, [0.1]), "r1"),
+    "short-time-r2-inf": (budget.short_time_asymptotics, (1, inf, [0.1]), "r2"),
+    "short-time-t-nan": (budget.short_time_asymptotics, (1, 1, [0.1, nan]), "t"),
+    "short-time-t-inf": (budget.short_time_asymptotics, (1, 1, inf), "t"),
+    "average-q-Re-nan": (ls.average_q_log, ([(nan, 1), (10, 2)],), "Re"),
+    "average-q-Re-inf": (ls.average_q_log, ([(10, 1), (inf, 2)],), "Re"),
+    "average-q-q-nan": (ls.average_q_log, ([(1, nan), (10, 2)],), "q"),
+    "average-q-q-inf": (ls.average_q_log, ([(1, 1), (10, -inf)],), "q"),
+    **{f"transform-q-{q}": (corr.transform_correlation,
+                            (corr.get_correlation("ranz_marshall"), q, 50.0, 0.71), "q")
+       for q in (nan, inf, 0.0, -1.0)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bad_argument_is_named(case):
+    func, args, name = CASES[case]
+    with pytest.raises(ValueError, match=f"^{name} .*finite"):
+        func(*args)

@@ -218,14 +218,14 @@ def test_tables_command_small_level(tmp_path):
 
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("shape = disk\nlevels = 3\nseed = 5\n")
+    cfgfile.write_text("shape = disk\nlevels = 3\neta = sinusoidal\n")
     code, out = run(tmp_path, "phi", "--config", str(cfgfile),
                     "--shape", "square")
     assert code == 0
     manifest = (out / "phi_manifest.txt").read_text()
     assert "shape = square\n" in manifest       # flag beats config
     assert "levels = 3\n" in manifest
-    assert "seed = 5\n" in manifest
+    assert "eta = sinusoidal\n" in manifest
 
 
 def test_required_options_from_config_file(tmp_path):
@@ -367,9 +367,11 @@ def test_fit_shape_takes_points_or_generate(tmp_path, capsys, argv, message):
      "--n cannot be combined with --points"),
     (("--points", "POINTS", "--n", "500", "--a", "3"),
      "--a, --n cannot be combined with --points"),
+    (("--points", "POINTS", "--seed", "3"),
+     "--seed cannot be combined with --points"),
 ], ids=["spheroid-options-on-sphere", "spheroid-option-on-cuboid",
         "cuboid-options-on-spheroid", "cuboid-option-on-sphere",
-        "n-with-points", "n-and-a-with-points"])
+        "n-with-points", "n-and-a-with-points", "seed-with-points"])
 def test_fit_shape_refuses_options_its_cloud_ignores(tmp_path, capsys, argv,
                                                      message):
     points = tmp_path / "points.csv"
@@ -501,8 +503,12 @@ def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
     (("learn-q", "--correlation", "churchill_bernstein", "--Re", "1e300",
       "--Nu", "5", "--Pr", "0.71"), 3,
      "numeric failure: no interior minimum for churchill_bernstein at Re=1e+300"),
+    *[(("correlate", "--name", "ranz_marshall", "--Re", "100", "--Pr", "0.7",
+        "--q", value), 2,
+       "config error: q (length scale ratio) must be finite and positive")
+      for value in ("nan", "inf")],
 ], ids=["lcm-t-f-inf", "lcm-steps-0", "spheroid-n-negative", "cuboid-n-0",
-        "learn-q-overflow"])
+        "learn-q-overflow", "correlate-q-nan", "correlate-q-inf"])
 def test_rejected_input_prints_only_its_error_line(tmp_path, capsys, argv,
                                                    code, message):
     with warnings.catch_warnings(record=True) as caught:
@@ -766,6 +772,19 @@ def test_out_of_memory_is_numeric_exit(tmp_path, monkeypatch, capsys, exc,
     assert capsys.readouterr().err == message + "\n"
 
 
+def test_seed_is_only_a_fit_shape_option(tmp_path, capsys):
+    code, _ = run(tmp_path / "out", "phi", "--shape", "disk", "--seed", "3")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "config error: unrecognized arguments: --seed 3\n"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("shape = disk\nseed = 3\n")
+    code, _ = run(tmp_path / "out", "phi", "--config", str(cfgfile))
+    assert code == 2
+    assert capsys.readouterr().err == "config error: unknown config key: seed\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_phi_has_no_coefficient_options(tmp_path, capsys):
     code, _ = run(tmp_path, "phi", "--shape", "disk", "--kappa", "2")
     assert code == 2
@@ -844,12 +863,12 @@ def test_manifest_lists_resolved_options_sorted(tmp_path):
 @pytest.mark.parametrize("argv,expected", [
     (("rhe", "--shape", "square", "--B", "0.04"),
      "command = rhe\nB = 0.04\neta = constant\nlevels = 4\n"
-     "max_snapshots = 200\noutput_dir = {out}\nseed = 0\nshape = square\n"
+     "max_snapshots = 200\noutput_dir = {out}\nshape = square\n"
      "snapshots = false\nsteps = 2000\nt_f = None\n"),
     (("correlate", "--name", "ranz_marshall", "--Re", "100", "--Pr", "0.71"),
      "command = correlate\nPr = 0.71\nRe = 100\nname = ranz_marshall\n"
      "output_dir = {out}\nq = None\nr2 = None\nre_transition = 500000\n"
-     "seed = 0\nstrict = false\n"),
+     "strict = false\n"),
     (("fit-shape", "--generate", "sphere", "--n", "50"),
      "command = fit-shape\na = 1\nb = 1\ngenerate = sphere\nlx = 1\nly = 1\n"
      "lz = 1\nn = 50\noutput_dir = {out}\npoints = None\nseed = 0\n"

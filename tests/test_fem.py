@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -174,7 +176,9 @@ def test_boundary_load_is_boundary_mass_row_sums(shape, kind):
 
 
 def test_region_fields(cross4):
-    tagged = mesh.tag_halfplane_regions(cross4, axis=0)
+    # region 1 holds the triangles whose centroid has x >= 0
+    cent_x = cross4.vertices[cross4.triangles, 0].mean(axis=1)
+    tagged = dataclasses.replace(cross4, tri_regions=(cent_x >= 0.0).astype(np.int64))
     f = fem.FieldSet.from_region_values(tagged,
                                         sigma_by_region={0: 2 / 3, 1: 4 / 3})
     assert set(np.unique(f.sigma).tolist()) == {2 / 3, 4 / 3}

@@ -36,23 +36,6 @@ def test_evaluate_is_exponential():
     assert np.all(np.diff(u) < 0)
 
 
-def test_dimensional_path():
-    # V/A = 0.01 m, rho*c = 2e6 J/(m^3 K), h = 200 W/(m^2 K): tau = 100 s
-    model = lcm.LumpedModel(B=0.05, gamma=2.0, volume=1e-3,
-                            surface_area=0.1, rho_c_avg=2e6, h_avg=200.0)
-    assert abs(model.tau_eq_dimensional - 100.0) < 1e-10
-    assert abs(lcm.lcm_evaluate(model, 100.0) - math.exp(-1.0)) < 1e-12
-
-
-def test_dimensional_temperature():
-    model = lcm.LumpedModel(B=0.05, gamma=2.0, volume=1e-3,
-                            surface_area=0.1, rho_c_avg=2e6, h_avg=200.0,
-                            T_inf=20.0, T_init=100.0)
-    assert abs(lcm.lcm_temperature(model, 0.0) - 100.0) < 1e-12
-    T = lcm.lcm_temperature(model, 1e9)
-    assert abs(T - 20.0) < 1e-6
-
-
 def test_validation():
     with pytest.raises(ValueError):
         lcm.LumpedModel(B=-0.1, gamma=2.0)
@@ -67,5 +50,3 @@ def test_validation():
                 lcm.time_scales(**{**good, name: bad})
     with pytest.raises(ValueError):
         lcm.lcm_evaluate(lcm.LumpedModel(B=0.1, gamma=2.0), -1.0)
-    with pytest.raises(ValueError):
-        lcm.LumpedModel(B=0.1, gamma=2.0).tau_eq_dimensional

@@ -87,6 +87,12 @@ def _alias_first(m):
     return dict(boundary_edges=bedges)
 
 
+def _move_first_vertex(m, xy):
+    verts = m.vertices.copy()
+    verts[0] = xy
+    return dict(vertices=verts)
+
+
 def _point_past_last_vertex(m):
     tris = m.triangles.copy()
     tris[0, 0] = m.num_vertices
@@ -107,6 +113,12 @@ DEFECTS = {
         r"integer \(n, 2\) array"),
     "float triangles": (lambda m: dict(triangles=m.triangles.astype(float)),
                         r"integer \(n, 3\) array"),
+    "nan vertex": (lambda m: _move_first_vertex(m, (np.nan, 0.0)),
+                   "vertex 0 has a non-finite coordinate"),
+    "inf vertex": (lambda m: _move_first_vertex(m, (0.0, np.inf)),
+                   "vertex 0 has a non-finite coordinate"),
+    "-inf vertex": (lambda m: _move_first_vertex(m, (-np.inf, -np.inf)),
+                    "vertex 0 has a non-finite coordinate"),
 }
 
 
@@ -115,17 +127,6 @@ def test_validate_rejects_defect(square4, defect):
     breaker, message = DEFECTS[defect]
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(square4, **breaker(square4))
-
-
-@pytest.mark.parametrize("first_vertex", ["nan 0", "0 inf", "-inf -inf"])
-def test_read_mesh_rejects_nonfinite_vertex(tmp_path, first_vertex):
-    p = tmp_path / "m.txt"
-    mesh.write_mesh(mesh.generate_canonical("square", 2), p)
-    lines = p.read_text().splitlines()
-    lines[1] = first_vertex
-    p.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="vertex 0 has a non-finite coordinate"):
-        mesh.read_mesh(p)
 
 
 # ------------------------------------------------ an immutable, cached value
@@ -192,26 +193,6 @@ def test_replace_starts_with_a_fresh_cache():
 def test_unknown_shape():
     with pytest.raises(ValueError):
         mesh.generate_canonical("dodecahedron", 3)
-
-
-def test_halfplane_tagging(cross4):
-    tagged = mesh.tag_halfplane_regions(cross4, axis=0)
-    cents = tagged.vertices[tagged.triangles].mean(axis=1)
-    tags = np.asarray(tagged.tri_regions)
-    assert set(tags.tolist()) == {0, 1}
-    # the cross is symmetric about x = 0: both halves carry half the area
-    a = tagged.triangle_areas()
-    assert abs(a[tags == 0].sum() - a[tags == 1].sum()) < 1e-12
-    assert np.all(cents[tags == 1, 0] >= -1e-12)
-
-
-def test_mesh_io_roundtrip(tmp_path, disk4):
-    p = tmp_path / "m.csv"
-    mesh.write_mesh(disk4, p)
-    back = mesh.read_mesh(p)
-    assert np.array_equal(back.vertices, disk4.vertices)
-    assert np.array_equal(back.triangles, disk4.triangles)
-    assert np.array_equal(back.boundary_edges, disk4.boundary_edges)
 
 
 def test_boundary_edges_form_closed_loops(disk4, cross4):
@@ -314,16 +295,12 @@ def _containing_edge_tags(base, m):
     return np.array(tags)
 
 
-def test_refinement_inherits_parent_edge_tags(tmp_path):
+def test_refinement_inherits_parent_edge_tags():
     base = mesh.generate_canonical("square", 1)
     base = dataclasses.replace(
         base, edge_tags=np.arange(1, base.num_boundary_edges + 1, dtype=np.int64))
     once = mesh.refine(base)
-    p = tmp_path / "once.txt"
-    mesh.write_mesh(once, p)
-    back = mesh.read_mesh(p)
-    assert np.array_equal(back.edge_tags, once.edge_tags)
-    for twice in (mesh.refine(base, 2), mesh.refine(back)):
+    for twice in (mesh.refine(base, 2), mesh.refine(once)):
         assert np.array_equal(twice.edge_tags, _containing_edge_tags(base, twice))
         assert np.array_equal(twice.edge_tags, _ref_inherit_edge_tags(once, twice))
 
