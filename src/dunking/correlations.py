@@ -41,16 +41,14 @@ class Shape:
 
     @staticmethod
     def sphere(D: float) -> "Shape":
-        if D <= 0:
-            raise ValueError("diameter must be positive")
+        _check_dimensions(D=D)
         return Shape("sphere", volume=math.pi * D**3 / 6.0,
                      surface_area=math.pi * D**2, diameter=D)
 
     @staticmethod
     def spheroid(a: float, b: float) -> "Shape":
         """Semi-axes (a, b, b): one distinguished axis a, two equal axes b."""
-        if a <= 0 or b <= 0:
-            raise ValueError("semi-axes must be positive")
+        _check_dimensions(a=a, b=b)
         vol = 4.0 / 3.0 * math.pi * a * b * b
         if abs(a - b) < 1e-14 * max(a, b):
             area = 4.0 * math.pi * b * b
@@ -65,19 +63,23 @@ class Shape:
 
     @staticmethod
     def cuboid(lx: float, ly: float, lz: float) -> "Shape":
-        if min(lx, ly, lz) <= 0:
-            raise ValueError("edge lengths must be positive")
+        _check_dimensions(lx=lx, ly=ly, lz=lz)
         return Shape("cuboid", volume=lx * ly * lz,
                      surface_area=2.0 * (lx * ly + ly * lz + lz * lx),
                      diameter=math.sqrt(lx * lx + ly * ly + lz * lz))
 
     @staticmethod
     def cylinder(D: float, L: float) -> "Shape":
-        if D <= 0 or L <= 0:
-            raise ValueError("dimensions must be positive")
+        _check_dimensions(D=D, L=L)
         return Shape("cylinder", volume=math.pi * D * D * L / 4.0,
                      surface_area=math.pi * D * L + math.pi * D * D / 2.0,
                      diameter=math.sqrt(D * D + L * L))
+
+
+def _check_dimensions(**dims: float) -> None:
+    for name, value in dims.items():
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and positive")
 
 
 def length_scale(shape: Shape, kind: str) -> float:

@@ -16,6 +16,11 @@ Assembled operators (all scipy CSR, size nv):
 * A1 : boundary mass      \\int_dOmega eta w v          (exact edgewise integral)
 * M  : volume mass        \\int_Omega sigma w v          (exact)
 * c  : constraint vector  M @ 1  (i.e. \\int_Omega sigma v)
+
+A0 and M share one CSR pattern, built from the mesh's unique edges: a
+diagonal entry per vertex and two entries per edge.  Their values are
+summed straight into it, per vertex and per unique edge, so no element
+matrices or COO triplets are formed.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh2D, geometry_stats
+from .mesh import Mesh2D, _edge_keys, _triangle_edges, geometry_stats
 from .series import piecewise_linear_mean, piecewise_linear_variance
 
 ETA_VARIATIONS = ("constant", "linear", "sinusoidal", "step")
@@ -153,30 +158,11 @@ class Forms:
 
 
 def assemble_forms(mesh: Mesh2D, fields: FieldSet) -> Forms:
-    nv = mesh.num_vertices
-    p, t = mesh.vertices, mesh.triangles
+    nv, t = mesh.num_vertices, mesh.triangles
     areas = mesh.triangle_areas()
-    rows, cols = _element_index(t)  # shared by the A0 and M scatters
-
-    # gradients of the barycentric basis, one (nt,) array per vertex
-    x = p[t, 0].T  # (3, nt)
-    y = p[t, 1].T
-    bx = (y[1] - y[2], y[2] - y[0], y[0] - y[1])
-    by = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
-
-    # symmetric: each of the six distinct entries is computed once
-    w = fields.kappa / (4.0 * areas)
-    ke = np.empty((t.shape[0], 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            kij = bx[i] * bx[j]
-            kij += by[i] * by[j]
-            kij *= w
-            ke[:, i, j] = ke[:, j, i] = kij
-    A0 = _scatter_elements(rows, cols, ke, nv)
-    del ke  # freed before the mass elements are built
-
-    M = _scatter_elements(rows, cols, _mass_elements(areas, fields.sigma), nv)
+    pattern = _p1_pattern(t, nv)  # shared by A0 and M
+    A0 = _scatter(pattern, t, *_stiffness_entries(mesh.vertices, t, fields.kappa, areas))
+    M = _scatter_mass(pattern, t, areas, fields.sigma)
     A1 = boundary_mass(mesh, fields.eta)
     c = M @ np.ones(nv)
     return Forms(A0, A1, M, c)
@@ -184,25 +170,93 @@ def assemble_forms(mesh: Mesh2D, fields: FieldSet) -> Forms:
 
 def mass_matrix(mesh: Mesh2D, sigma: np.ndarray) -> sp.csr_matrix:
     """Volume mass matrix with piecewise constant weight sigma (exact)."""
-    rows, cols = _element_index(mesh.triangles)
-    return _scatter_elements(rows, cols, _mass_elements(mesh.triangle_areas(), sigma),
-                             mesh.num_vertices)
+    t = mesh.triangles
+    return _scatter_mass(_p1_pattern(t, mesh.num_vertices), t,
+                         mesh.triangle_areas(), sigma)
 
 
-def _mass_elements(areas: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return me_ref[None, :, :] * (sigma * areas)[:, None, None]
+def _stiffness_entries(p, t, kappa, areas):
+    """Element stiffness entries kappa area grad(phi_i).grad(phi_j), as
+    (3, nt) arrays of the diagonal (i, i) and off-diagonal (i, (i + 1) % 3)
+    entries for `_scatter`."""
+    # gradients of the barycentric basis, one (nt,) array per vertex
+    x = p[t, 0].T  # (3, nt)
+    y = p[t, 1].T
+    bx = (y[1] - y[2], y[2] - y[0], y[0] - y[1])
+    by = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
+    del x, y  # freed before the entries are built
+
+    # symmetric: each of the six distinct entries is computed once
+    w = kappa / (4.0 * areas)
+    k_diag = np.empty((3, t.shape[0]))
+    k_edge = np.empty((3, t.shape[0]))
+    for i in range(3):
+        for j, kij in ((i, k_diag[i]), ((i + 1) % 3, k_edge[i])):
+            np.multiply(bx[i], bx[j], out=kij)
+            kij += by[i] * by[j]
+            kij *= w
+    return k_diag, k_edge
 
 
-def _element_index(t: np.ndarray):
-    """int32 (rows, cols) of the entries of the (nt, 3, 3) element matrices."""
-    t = t.astype(np.int32)
-    return np.repeat(t, 3, axis=1).ravel(), np.tile(t, (1, 3)).ravel()
+def _scatter_mass(pattern, t, areas, sigma) -> sp.csr_matrix:
+    """Element mass entries sigma area (1 + delta_ij) / 12, scattered."""
+    s = sigma * areas
+    return _scatter(pattern, t, np.tile((2.0 / 12.0) * s, (3, 1)),
+                    np.tile((1.0 / 12.0) * s, (3, 1)))
 
 
-def _scatter_elements(rows, cols, elem: np.ndarray, nv: int) -> sp.csr_matrix:
-    """Sum the (nt, 3, 3) element matrices into a global CSR matrix."""
-    return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+def _p1_pattern(t: np.ndarray, nv: int):
+    """The symmetric sparsity pattern of P1 elements on the triangles t.
+
+    It holds the nv diagonal entries and, for each unique edge (lo, hi),
+    the entries (lo, hi) and (hi, lo), in CSR order with sorted columns:
+    the pattern scipy gives the summed element matrices.  Returns int32
+    indptr and indices; the unique-edge index of each directed edge of
+    `_triangle_edges(t)`; and the slots in the CSR data of the diagonal
+    entries (nv,) and of the upper (lo, hi) and lower (hi, lo) entries of
+    each unique edge.
+    """
+    ukeys, edge = np.unique(_edge_keys(_triangle_edges(t), nv), return_inverse=True)
+    lo, hi = np.divmod(ukeys, nv)
+    del ukeys
+    n_upper = np.bincount(lo, minlength=nv)  # per row, right of the diagonal
+    n_lower = np.bincount(hi, minlength=nv)  # per row, left of it
+    indptr = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(n_lower + n_upper + 1, out=indptr[1:])
+    diag = indptr[:-1] + n_lower
+    # Sorted by (lo, hi), the unique edges list the upper entries of each row
+    # consecutively; a stable sort by hi lists the lower ones, by (hi, lo).
+    # An entry's slot is its rank in that list minus the rank of its row's
+    # first entry, plus the slot of that first entry.
+    rank = np.arange(lo.shape[0])
+    upper = rank + (diag + 1 - (np.cumsum(n_upper) - n_upper))[lo]
+    order = np.argsort(hi, kind="stable")
+    lower = np.empty_like(upper)
+    lower[order] = rank + (indptr[:-1] - (np.cumsum(n_lower) - n_lower))[hi[order]]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag] = np.arange(nv)
+    indices[upper] = hi
+    indices[lower] = lo
+    return indptr, indices, edge, diag, upper, lower
+
+
+def _scatter(pattern, t, diag_values, edge_values) -> sp.csr_matrix:
+    """Sum element entries into a CSR matrix on `_p1_pattern(t, nv)`.
+
+    Row i of the (3, nt) arrays belongs to the directed edges
+    (t[:, i], t[:, (i + 1) % 3]) of `_triangle_edges(t)`: diag_values adds
+    to the entry (t[:, i], t[:, i]), edge_values to the entry of the edge
+    and to its transpose.  Each off-diagonal entry sums at most two values, so it does
+    not depend on the order of the sum.
+    """
+    indptr, indices, edge, diag, upper, lower = pattern
+    nv = diag.shape[0]
+    data = np.empty(indices.shape[0])
+    data[diag] = np.bincount(t.T.ravel(), diag_values.ravel(), minlength=nv)
+    off = np.bincount(edge, edge_values.ravel(), minlength=upper.shape[0])
+    data[upper] = off
+    data[lower] = off
+    return sp.csr_matrix((data, indices, indptr), shape=(nv, nv))
 
 
 def boundary_mass(mesh: Mesh2D, eta: np.ndarray) -> sp.csr_matrix:

@@ -119,12 +119,13 @@ class LengthScaleModel:
         self.log10_s = np.asarray(self.log10_s, dtype=float)
         self.theta_deg = np.asarray(self.theta_deg, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
-        if np.any(np.diff(self.log10_s) <= 0) or np.any(np.diff(self.theta_deg) <= 0):
-            raise ValueError("grid axes must be strictly increasing")
+        for name, axis in (("log10_s", self.log10_s), ("theta_deg", self.theta_deg)):
+            if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
+                raise ValueError(f"{name} must be finite and strictly increasing")
         if self.q.shape != (len(self.log10_s), len(self.theta_deg)):
             raise ValueError("q grid shape does not match the axes")
-        if np.any(self.q <= 0):
-            raise ValueError("all q values must be positive")
+        if not np.all((self.q > 0) & (self.q < np.inf)):
+            raise ValueError("q must be finite and positive")
 
     def evaluate(self, s: float, theta_deg: float) -> float:
         if s <= 0:

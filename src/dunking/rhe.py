@@ -164,6 +164,11 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     A1 = forms.A1
     K = (forms.A0 + robin.B * A1).tocsc()
     s = robin.B * (g - 1.0)
+    # the backward-Euler startup step; its factor is freed before K1's is built
+    u_prev = np.ones(n)
+    K_be = K if s[1] == 0.0 else (forms.A0 + (robin.B * g[1]) * A1).tocsc()
+    u = spla.splu(M / dt + K_be).solve(M @ u_prev / dt)
+    del K_be
     lu = spla.splu(1.5 * M / dt + K)
     bnd = np.unique(A1.nonzero()[0])
     dense = n * (n + len(bnd)) <= DENSE_BUDGET
@@ -201,11 +206,7 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     row = {k: i for i, k in enumerate(slots.tolist())}
     u_avg = np.empty(steps + 1)
     u_avg[0] = 1.0  # exact: the initial field is identically one
-    u_prev = np.ones(n)
-    K_be = K if s[1] == 0.0 else (forms.A0 + (robin.B * g[1]) * A1).tocsc()
-    u = spla.splu(M / dt + K_be).solve(M @ u_prev / dt)
-    # allocated once the startup factor is freed; allocated before it, the
-    # array left ~1 MB more resident on the disk at level 6 (ru_maxrss)
+    # allocated once both factors are built and the startup factor is freed
     snaps = np.empty((len(slots), n))
     snaps[:1] = 1.0  # slot 0 is step 0
     for k, sk in enumerate(s.tolist()[1:], start=1):

@@ -26,6 +26,17 @@ CASES = {
     **{f"transform-q-{q}": (corr.transform_correlation,
                             (corr.get_correlation("ranz_marshall"), q, 50.0, 0.71), "q")
        for q in (nan, inf, 0.0, -1.0)},
+    "sphere-D-nan": (corr.Shape.sphere, (nan,), "D"),
+    "sphere-D-inf": (corr.Shape.sphere, (inf,), "D"),
+    "spheroid-a-nan": (corr.Shape.spheroid, (nan, 1), "a"),
+    "spheroid-b-inf": (corr.Shape.spheroid, (1, inf), "b"),
+    "cuboid-ly-nan": (corr.Shape.cuboid, (1, nan, 1), "ly"),
+    "cuboid-lz-inf": (corr.Shape.cuboid, (1, 1, inf), "lz"),
+    "cylinder-D-nan": (corr.Shape.cylinder, (nan, 1), "D"),
+    "cylinder-L-inf": (corr.Shape.cylinder, (1, inf), "L"),
+    "surrogate-log10_s-nan": (ls.LengthScaleModel, ([0, nan], [30], [[1], [1]]), "log10_s"),
+    "surrogate-theta_deg-nan": (ls.LengthScaleModel, ([0], [nan, 30], [[1, 1]]), "theta_deg"),
+    "surrogate-q-nan": (ls.LengthScaleModel, ([0, 1], [30], [[1], [nan]]), "q"),
 }
 
 

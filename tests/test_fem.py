@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,9 +38,9 @@ def test_stiffness_exact_linear_energy(square4):
 # sha256 (first 16 hex digits) over data, indices and indptr of A0, M and A1
 # at level 5, unit kappa and sigma, sinusoidal eta
 FORM_DIGESTS = {
-    "disk": ["4993ff7648f32128", "65371b45ddb6bcaf", "72189f5ec1f6a707"],
+    "disk": ["35b41914cc11eaca", "67f7ce59b00e7da6", "72189f5ec1f6a707"],
     "square": ["81f7800e6d76d371", "482b53e7bcd7a649", "10077f6ba96914ef"],
-    "equilateral_triangle": ["7fd55fd332fcb80e", "129472fa2559cbcd", "1283613e184c1745"],
+    "equilateral_triangle": ["4c952d5c90d148b5", "ab48b4185585e916", "1283613e184c1745"],
     "cross": ["1d0857eef7aad428", "4d26a3190bd5914a", "73bb3a0da9675788"],
 }
 
@@ -52,6 +53,79 @@ def test_forms_are_bit_identical(shape):
     forms = fem.assemble_forms(m, fields)
     assert [array_digest(A.data, A.indices, A.indptr)
             for A in (forms.A0, forms.M, forms.A1)] == FORM_DIGESTS[shape]
+
+
+def _reference_assemble(m, fields):
+    """(A0, M) summed from (nt, 3, 3) element matrices through COO triplets."""
+    nv = m.num_vertices
+    p, t = m.vertices, m.triangles
+    areas = m.triangle_areas()
+    t32 = t.astype(np.int32)
+    rows, cols = np.repeat(t32, 3, axis=1).ravel(), np.tile(t32, (1, 3)).ravel()
+
+    def scatter(elem):
+        return sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+
+    x = p[t, 0].T
+    y = p[t, 1].T
+    bx = (y[1] - y[2], y[2] - y[0], y[0] - y[1])
+    by = (x[2] - x[1], x[0] - x[2], x[1] - x[0])
+    w = fields.kappa / (4.0 * areas)
+    ke = np.empty((t.shape[0], 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            kij = bx[i] * bx[j]
+            kij += by[i] * by[j]
+            kij *= w
+            ke[:, i, j] = ke[:, j, i] = kij
+    me_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    return scatter(ke), scatter(me_ref[None, :, :] * (fields.sigma * areas)[:, None, None])
+
+
+def _assembly_case(case):
+    m = mesh.generate_canonical("cross" if case == "random-cross" else case, 5)
+    f = uniform_fields(m)
+    if case == "random-cross":
+        rng = np.random.default_rng(11)
+        f.kappa = rng.uniform(0.5, 2.0, m.num_triangles)
+        f.sigma = rng.uniform(0.5, 2.0, m.num_triangles)
+    return m, f
+
+
+@pytest.mark.parametrize("case", [*mesh.CANONICAL_SHAPES, "random-cross"])
+def test_assembly_matches_element_matrix_reference(case):
+    m, f = _assembly_case(case)
+    forms = fem.assemble_forms(m, f)
+    A0, M = _reference_assemble(m, f)
+    for got, ref in ((forms.A0, A0), (forms.M, M), (fem.mass_matrix(m, f.sigma), M)):
+        assert np.array_equal(got.indptr, ref.indptr) and got.indptr.dtype == ref.indptr.dtype
+        assert np.array_equal(got.indices, ref.indices) and got.indices.dtype == ref.indices.dtype
+        is_diag = got.indices == np.repeat(np.arange(m.num_vertices), np.diff(got.indptr))
+        # at most two values per off-diagonal entry: the sum is order-free
+        assert np.array_equal(got.data[~is_diag].view(np.int64),
+                              ref.data[~is_diag].view(np.int64))
+        # the diagonal sums run in another order
+        d, dref = got.data[is_diag], ref.data[is_diag]
+        assert np.all(np.abs(d - dref) <= 8 * np.spacing(np.abs(dref)))
+
+
+def test_assemble_forms_memory_is_bounded():
+    # no (nt, 3, 3) element matrices, COO triplets or duplicate entries:
+    # the peak is a small multiple of what is returned
+    m = mesh.generate_canonical("cross", 5)
+    fields = uniform_fields(m)
+    tracemalloc.start()
+    try:
+        forms = fem.assemble_forms(m, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    A0, M, A1 = forms.A0, forms.M, forms.A1
+    # A0 and M share one pattern
+    assert np.shares_memory(A0.indices, M.indices) and np.shares_memory(A0.indptr, M.indptr)
+    returned = sum(a.nbytes for a in (A0.data, A0.indices, A0.indptr, M.data,
+                                      A1.data, A1.indices, A1.indptr, forms.c))
+    assert peak <= 3 * returned
 
 
 def test_boundary_mass_total(disk4):
