@@ -112,11 +112,12 @@ def phi_bound(phi111: float, gamma_sq_over_mu: float, var_sigma: float,
               gamma_over_lambda: float, var_eta: float) -> float:
     """(sqrt(phi111) + sqrt(gamma^2/mu * var_sigma)
     + sqrt(gamma/Lambda * var_eta))^2, the computable bound on phi."""
-    if not (var_sigma >= 0 and var_eta >= 0):
-        raise ValueError("variances must be nonnegative")
-    if not (phi111 >= 0 and gamma_sq_over_mu >= 0 and gamma_over_lambda >= 0):
-        raise ValueError("phi111, gamma^2/mu and gamma/Lambda must be "
-                         "nonnegative")
+    for name, v in (("phi111", phi111), ("gamma_sq_over_mu", gamma_sq_over_mu),
+                    ("var_sigma", var_sigma),
+                    ("gamma_over_lambda", gamma_over_lambda),
+                    ("var_eta", var_eta)):
+        if not 0 <= v < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative")
     return (math.sqrt(phi111) + math.sqrt(gamma_sq_over_mu * var_sigma)
             + math.sqrt(gamma_over_lambda * var_eta)) ** 2
 
@@ -283,13 +284,16 @@ def assemble_budget(B: float, B_est: float, gamma: float, phi_used: float,
                     phi_provenance: str = "phi") -> ErrorBudget:
     """Combine the three first-order error terms.
 
-    temporal_inputs, when given, is (|Omega|, ||eta - eta_bar||_{L1(L1)})
-    and activates the temporal term sqrt((2B/|Omega|)*norm).
+    temporal_inputs, when given, is (volume, norm) = (|Omega|,
+    ||eta - eta_bar||_{L1(L1)}) and activates the temporal term
+    sqrt((2B/|Omega|)*norm).
     """
-    if not (0 <= B < np.inf and 0 <= B_est < np.inf):
-        raise ValueError("Biot numbers must be finite and nonnegative")
-    if not (0 < gamma < np.inf and 0 < phi_used < np.inf):
-        raise ValueError("gamma and phi must be finite and positive")
+    for name, v in (("B", B), ("B_est", B_est)):
+        if not 0 <= v < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative")
+    for name, v in (("gamma", gamma), ("phi_used", phi_used)):
+        if not 0 < v < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
     if B == B_est:
         biot = 0.0
     elif B_est == 0.0 or B == 0.0:
@@ -300,9 +304,10 @@ def assemble_budget(B: float, B_est: float, gamma: float, phi_used: float,
     temporal = None
     if temporal_inputs is not None:
         volume, norm = temporal_inputs
-        if not (0 < volume < np.inf and 0 <= norm < np.inf):
-            raise ValueError("temporal inputs must be finite, with a "
-                             "positive volume and a nonnegative norm")
+        if not 0 < volume < np.inf:
+            raise ValueError("volume must be finite and positive")
+        if not 0 <= norm < np.inf:
+            raise ValueError("norm must be finite and nonnegative")
         temporal = float(np.sqrt(2.0 * B / volume * norm))
     total = lumping + biot + (temporal or 0.0)
     return ErrorBudget(lumping=float(lumping), biot=float(biot),

@@ -35,23 +35,52 @@ EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "DUNKING_OUTPUT_DIR"
 
-# Upper bounds on the size options, checked before anything is allocated.
-# A canonical mesh has ~4x the vertices of the level below (the cross at
-# level 8 has ~340 000), and a million steps or points already write a CSV
-# of tens of megabytes.  The solver holds every stored snapshot (one nodal
-# field each, 34 MB per thousand on the disk at level 6) and --snapshots
-# writes one file per snapshot.
-MAX_LEVELS = 8
-MAX_STEPS = 1_000_000
-MAX_POINTS = 1_000_000
-MAX_SNAPSHOTS = 10_000
-MOST = {"levels": MAX_LEVELS, "steps": MAX_STEPS, "n": MAX_POINTS,
-        "max_snapshots": MAX_SNAPSHOTS}
+# (least, most) of the size and time options, checked before anything is
+# allocated; a `command name` key overrides `name`.  A canonical mesh has ~4x
+# the vertices of the level below (~340 000 on the cross at level 8), and a
+# million steps or points write a CSV of tens of megabytes.  The solver holds
+# every stored snapshot (34 MB per thousand on the disk at level 6), and
+# --snapshots writes one file each.  rhe starts BDF2 with an Euler step.
+RANGES = {"levels": (1, 8), "steps": (1, 1_000_000), "n": (1, 1_000_000),
+          "max_snapshots": (1, 10_000), "t_f": (0, math.inf),
+          "rhe steps": (2, 1_000_000)}
 
-# options that mean nothing alone: both or neither (each of one command)
-PAIRED = [("volume", "eta_l1l1"), ("solid", "fluid"), ("eval_s", "eval_theta")]
-# alternative inputs of fit-shape: exactly one of them
-ONE_OF = ("--points", "--generate")
+# Which option needs which, checked on the options given (as flags or in the
+# config file) before the defaults are filled in.  In a row (flags, kind,
+# *targets) each space-separated flag (or the command) needs one of the
+# targets, or cannot be combined with any; `--flag value` needs that value.
+NEEDS, EXCLUDES = "needs", "cannot be combined with"
+RULES = {
+    "bounds": [
+        ("--volume", NEEDS, "--eta-l1l1"), ("--eta-l1l1", NEEDS, "--volume"),
+        ("--gamma-over-lambda", NEEDS, "--var-eta"),
+        ("--var-eta", NEEDS, "--gamma-over-lambda"),
+        ("--gamma-sq-over-mu", NEEDS, "--var-sigma"),
+        ("--var-sigma", NEEDS, "--gamma-sq-over-mu"),
+        ("--gamma-over-lambda --var-eta --gamma-sq-over-mu --var-sigma",
+         NEEDS, "--phi111")],
+    "lcm": [
+        ("--solid", NEEDS, "--fluid"), ("--fluid", NEEDS, "--solid"),
+        ("--Re", NEEDS, "--Pr"), ("--Pr", NEEDS, "--Re"),
+        ("--Re", NEEDS, "--r1", "--solid"), ("--Re", NEEDS, "--r2", "--solid"),
+        ("--r1 --r2 --solid", NEEDS, "--Re")],
+    "learn-q": [
+        ("learn-q", NEEDS, "--samples", "--Re", "--surrogate"),
+        ("--Re --Nu", EXCLUDES, "--samples"),
+        ("--Re", NEEDS, "--Nu"), ("--Nu", NEEDS, "--Re"),
+        ("--Re", NEEDS, "--Pr"), ("--Pr", NEEDS, "--samples", "--Re"),
+        ("--re-transition", NEEDS, "--correlation flat_plate_turbulent"),
+        ("--eval-s", NEEDS, "--eval-theta"),
+        ("--eval-theta", NEEDS, "--eval-s"),
+        ("--eval-s --eval-theta", NEEDS, "--surrogate")],
+    "fit-shape": [
+        ("fit-shape", NEEDS, "--points", "--generate"),
+        ("--points", EXCLUDES, "--generate"),
+        ("--a --b --theta", NEEDS, "--generate spheroid"),
+        ("--lx --ly --lz", NEEDS, "--generate cuboid"),
+        ("--n --seed", NEEDS, "--generate")],
+    "correlate": [("--re-transition", NEEDS, "--name flat_plate_turbulent")],
+}
 
 
 class ConfigError(Exception):
@@ -86,6 +115,35 @@ def _to_bool(s: str) -> bool:
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+def _name(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def check_options(command, given: dict) -> None:
+    """Refuse given options that break RANGES or RULES, naming each flag."""
+    errors = []
+    for name in filter(RANGES.__contains__, given):
+        least, most = RANGES.get(f"{command} {name}", RANGES[name])
+        v = given[name]
+        bound = (f"at most {most}" if v > most else f"at least {least}"
+                 if v < least else None if math.isfinite(v) else "finite")
+        if bound:
+            errors.append(f"{_flag(name)} must be {bound}")
+
+    def holds(target):
+        flag, _, value = target.partition(" ")
+        v = given.get(_name(flag))
+        return v is not None and (not value or v == value)
+
+    for flags, kind, *targets in RULES.get(command, ()):
+        if any(map(holds, targets)) != (kind == NEEDS):
+            errors += [f"{flag} {kind} {' or '.join(targets)}"
+                       for flag in flags.split()
+                       if flag == command or _name(flag) in given]
+    if errors:
+        raise ConfigError("; ".join(errors))
 
 
 # Options, keyed by flag, as add_argument keywords; the option's name (its
@@ -148,14 +206,13 @@ def write_manifest(cfg, command) -> None:
             fh.write(f"{key} = {_fmt(cfg[key])}\n")
 
 
-def write_report(cfg, command, rows) -> str:
+def write_report(cfg, command, rows) -> None:
     path = os.path.join(_outdir(cfg), f"{command.replace('-', '_')}_report.txt")
     with open(path, "w") as fh:
         for key, val in rows:
             fh.write(f"{key} = {_fmt(val)}\n")
     for key, val in rows:
         print(f"{key} = {_fmt(val)}")
-    return path
 
 
 # ------------------------------------------------------------ subcommands
@@ -217,13 +274,6 @@ BOUNDS_OPTS = {
 
 def cmd_bounds(cfg):
     from . import budget as budget_mod
-    if cfg["phi111"] is None:
-        unused = [_flag(k) for k in ("gamma_over_lambda", "gamma_sq_over_mu")
-                  if cfg[k] is not None]
-        unused += [_flag(k) for k in ("var_eta", "var_sigma") if cfg[k]]
-        if unused:
-            raise ConfigError(f"{', '.join(unused)} only enter phi_ub, "
-                              "which needs --phi111")
     temporal = None if cfg["volume"] is None else (cfg["volume"],
                                                     cfg["eta_l1l1"])
     bud = budget_mod.assemble_budget(cfg["B"], cfg["B_est"], cfg["gamma"],
@@ -231,10 +281,6 @@ def cmd_bounds(cfg):
                                      phi_provenance="supplied")
     rows = budget_mod.budget_report_rows(bud)
     if cfg["phi111"] is not None:
-        if cfg["var_sigma"] and cfg["gamma_sq_over_mu"] is None:
-            raise ConfigError("--gamma-sq-over-mu required with --var-sigma")
-        if cfg["var_eta"] and cfg["gamma_over_lambda"] is None:
-            raise ConfigError("--gamma-over-lambda required with --var-eta")
         phi_ub = budget_mod.phi_bound(
             cfg["phi111"], cfg["gamma_sq_over_mu"] or 0.0, cfg["var_sigma"],
             cfg["gamma_over_lambda"] or 0.0, cfg["var_eta"])
@@ -263,8 +309,6 @@ def cmd_rhe(cfg):
     from . import budget as budget_mod
     from . import mesh as mesh_mod
     from . import rhe as rhe_mod
-    if cfg["max_snapshots"] < 1:
-        raise ConfigError("--max-snapshots must be at least 1")
     msh, fields = _canonical_setup(cfg["shape"], cfg["levels"], cfg["eta"])
     gs = mesh_mod.geometry_stats(msh)
     robin = rhe_mod.RobinCoefficient(cfg["B"], eta=fields.eta)
@@ -315,11 +359,7 @@ def cmd_lcm(cfg):
         r1 = tr1 if r1 is None else r1
         r2 = tr2 if r2 is None else r2
         rows += [("solid", cfg["solid"]), ("fluid", cfg["fluid"])]
-    scales = {"--r1": r1, "--r2": r2, "--Re": cfg["Re"], "--Pr": cfg["Pr"]}
-    missing = [flag for flag, v in scales.items() if v is None]
-    if 0 < len(missing) < len(scales):
-        raise ConfigError(f"time scales also need {', '.join(missing)}")
-    if not missing:
+    if cfg["Re"] is not None:
         ts = lcm_mod.time_scales(r1, r2, cfg["Re"], cfg["Pr"], cfg["B"],
                                  cfg["gamma"])
         rows += [("r1", r1), ("r2", r2), ("Re", cfg["Re"]), ("Pr", cfg["Pr"]),
@@ -327,10 +367,6 @@ def cmd_lcm(cfg):
     t_f = cfg["t_f"]
     if t_f is None:
         t_f = 3.0 * model.tau_eq if math.isfinite(model.tau_eq) else 1.0
-    if not math.isfinite(t_f):
-        raise ConfigError("time must be finite")
-    if cfg["steps"] < 1:
-        raise ConfigError("--steps must be at least 1")
     times = np.linspace(0.0, t_f, cfg["steps"] + 1)
     vals = lcm_mod.lcm_evaluate(model, times)
     np.savetxt(os.path.join(_outdir(cfg), "lcm_series.csv"),
@@ -343,8 +379,8 @@ LEARNQ_OPTS = {
     "--correlation": dict(required=True, choices=corr_mod.CORRELATION_NAMES),
     "--samples": dict(help="CSV Re,Nu[,Pr] of observed pairs"),
     "--Re": dict(type=float), "--Nu": dict(type=float),
-    "--Pr": dict(type=float, help="Prandtl number (used when the samples "
-                 "file has no Pr column)"),
+    "--Pr": dict(type=float, help="Prandtl number, with --Re or with a "
+                 "samples file that has no Pr column"),
     "--re-transition": dict(type=float,
                             default=corr_mod.RE_TRANSITION_DEFAULT),
     "--surrogate": dict(help="CSV s,theta_deg,q to assemble and validate "
@@ -355,27 +391,20 @@ LEARNQ_OPTS = {
 
 def cmd_learn_q(cfg):
     from . import lengthscale as ls_mod
-    if cfg["eval_s"] is not None and cfg["surrogate"] is None:
-        raise ConfigError("--eval-s and --eval-theta need --surrogate")
-    unused = [_flag(k) for k in ("Re", "Nu") if cfg[k] is not None]
-    if cfg["samples"] is not None and unused:
-        raise ConfigError(f"{', '.join(unused)} cannot be combined with "
-                          "--samples")
     corr = corr_mod.get_correlation(cfg["correlation"],
                                     Re_tr=cfg["re_transition"])
     rows = [("correlation", cfg["correlation"])]
-    outdir = _outdir(cfg)
     if cfg["samples"] is not None:
         _, data = series_mod.read_table(cfg["samples"], "re,", None)
         if data.shape[1] < 2:
             raise ConfigError("samples CSV needs columns Re,Nu[,Pr]")
-        if data.shape[1] < 3 and cfg["Pr"] is None:
-            raise ConfigError("--Pr required when the samples file "
-                              "has no Pr column")
+        if (data.shape[1] > 2) == (cfg["Pr"] is not None):  # not in RULES
+            raise ConfigError("--Pr is needed if and only if the samples "
+                              "file has no Pr column")
         Res, Nus = data[:, 0], data[:, 1]
         Prs = data[:, 2] if data.shape[1] > 2 else np.full(len(data), cfg["Pr"])
         qs = ls_mod.solve_q(corr, Res, Nus, Prs)
-        np.savetxt(os.path.join(outdir, "learned_q.csv"),
+        np.savetxt(os.path.join(_outdir(cfg), "learned_q.csv"),
                    np.column_stack([Res, Nus, Prs, qs]), fmt="%.17g",
                    delimiter=",", header="Re,Nu,Pr,q", comments="")
         rows.append(("n_samples", len(qs)))
@@ -383,18 +412,13 @@ def cmd_learn_q(cfg):
             rows.append(("average_q_log", ls_mod.average_q_log(zip(Res, qs))))
         else:
             rows.append(("q", float(qs[0])))
-    elif cfg["Re"] is not None and cfg["Nu"] is not None:
-        if cfg["Pr"] is None:
-            raise ConfigError("--Pr is required")
+    elif cfg["Re"] is not None:
         q = float(ls_mod.solve_q(corr, cfg["Re"], cfg["Nu"], cfg["Pr"])[0])
         rows += [("Re", cfg["Re"]), ("Nu", cfg["Nu"]), ("Pr", cfg["Pr"]),
                  ("q", q)]
-    elif cfg["surrogate"] is None:
-        raise ConfigError("provide --samples, or --Re with --Nu, "
-                          "or --surrogate")
     if cfg["surrogate"] is not None:
         model = ls_mod.LengthScaleModel.from_csv(cfg["surrogate"])
-        model.to_csv(os.path.join(outdir, "surrogate.csv"))
+        model.to_csv(os.path.join(_outdir(cfg), "surrogate.csv"))
         rows += [("surrogate_ns", len(model.log10_s)),
                  ("surrogate_ntheta", len(model.theta_deg))]
         if cfg["eval_s"] is not None:
@@ -407,49 +431,31 @@ FITSHAPE_OPTS = {
     "--points": dict(help="CSV x,y,z surface point cloud"),
     "--generate": dict(choices=("spheroid", "sphere", "cuboid"),
                        help="sample a synthetic cloud of --n points"),
-    "--a": dict(type=float, help="spheroid symmetry semi-axis"),
-    "--b": dict(type=float, help="spheroid equatorial semi-axis"),
-    "--theta": dict(type=float, help="angle of attack, degrees"),
-    "--lx": dict(type=float),
-    "--ly": dict(type=float),
-    "--lz": dict(type=float),
-    "--n": dict(type=int, help="number of sampled points"),
-    "--seed": dict(type=int, help="RNG seed of the sampled cloud"),
+    "--a": dict(type=float, default=1.0, help="spheroid symmetry semi-axis"),
+    "--b": dict(type=float, default=1.0, help="spheroid equatorial semi-axis"),
+    "--theta": dict(type=float, default=0.0, help="angle of attack, degrees"),
+    "--lx": dict(type=float, default=1.0),
+    "--ly": dict(type=float, default=1.0),
+    "--lz": dict(type=float, default=1.0),
+    "--n": dict(type=int, default=500, help="number of sampled points"),
+    "--seed": dict(type=int, default=0, help="RNG seed of the sampled cloud"),
 }
-# The cloud options each source reads, with their defaults.  They have no
-# argparse default, so that a given option the source does not read is
-# refused; the manifest lists every one, given or default.
-CLOUD_DEFAULTS = {"a": 1.0, "b": 1.0, "theta": 0.0, "lx": 1.0, "ly": 1.0,
-                  "lz": 1.0, "n": 500, "seed": 0}
-CLOUD_READS = {None: (), "sphere": ("n", "seed"),
-               "spheroid": ("a", "b", "theta", "n", "seed"),
-               "cuboid": ("lx", "ly", "lz", "n", "seed")}
 
 
 def cmd_fit_shape(cfg):
     from . import lengthscale as ls_mod
     kind = cfg["generate"]
-    unread = [_flag(k) for k in CLOUD_DEFAULTS
-              if cfg[k] is not None and k not in CLOUD_READS[kind]]
-    if unread:
-        source = "--points" if kind is None else f"--generate {kind}"
-        raise ConfigError(f"{', '.join(unread)} cannot be combined with "
-                          f"{source}")
-    cfg.update({k: v for k, v in CLOUD_DEFAULTS.items() if cfg[k] is None})
     if kind is None:
         _, pts = series_mod.read_table(cfg["points"], "x,", None)
     else:
-        if kind == "spheroid":
-            pts = ls_mod.sample_spheroid_surface(cfg["a"], cfg["b"], cfg["n"],
-                                                 theta_deg=cfg["theta"],
-                                                 seed=cfg["seed"])
-        elif kind == "sphere":
-            pts = ls_mod.sample_spheroid_surface(1.0, 1.0, n=cfg["n"],
-                                                 seed=cfg["seed"])
-        else:
+        if kind == "cuboid":
             pts = ls_mod.sample_cuboid_surface(cfg["lx"], cfg["ly"],
                                                cfg["lz"], cfg["n"],
                                                seed=cfg["seed"])
+        else:  # a sphere takes the defaults a = b = 1, theta = 0
+            pts = ls_mod.sample_spheroid_surface(cfg["a"], cfg["b"], cfg["n"],
+                                                 theta_deg=cfg["theta"],
+                                                 seed=cfg["seed"])
         np.savetxt(os.path.join(_outdir(cfg), "fit_points.csv"), pts,
                    fmt="%.17g", delimiter=",", header="x,y,z", comments="")
     fit = ls_mod.fit_spheroid(pts)
@@ -580,30 +586,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, (_, opts, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if ONE_OF[0] in opts:
-            one_of = p.add_mutually_exclusive_group(required=True)
         for flag, kwargs in {**GLOBAL_OPTS, **opts}.items():
-            (one_of if flag in ONE_OF else p).add_argument(flag, **kwargs)
+            # defaults come after check_options, which sees what was given
+            p.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = vars(build_parser().parse_args(_with_config(argv)))
-        command = cfg.pop("command")
+        given = vars(build_parser().parse_args(_with_config(argv)))
+        command = given.pop("command")
         if command is None:
             build_parser().print_help()
             return EXIT_CONFIG
-        for name, most in MOST.items():
-            if cfg.get(name) is not None and cfg[name] > most:
-                raise ConfigError(f"{_flag(name)} must be at most {most}")
-        for a, b in PAIRED:
-            if (cfg.get(a) is None) != (cfg.get(b) is None):
-                raise ConfigError(f"{_flag(a)} and {_flag(b)} must be given "
-                                  "together")
-        if cfg["output_dir"] is None:
-            cfg["output_dir"] = os.environ.get(OUTPUT_DIR_ENV, ".")
+        check_options(command, given)
+        given.setdefault("output_dir", os.environ.get(OUTPUT_DIR_ENV, "."))
+        cfg = {_name(flag): kwargs.get("default") for flag, kwargs
+               in {**GLOBAL_OPTS, **COMMANDS[command][1]}.items()} | given
         COMMANDS[command][0](cfg)
         write_manifest(cfg, command)
     # numeric first: np.linalg.LinAlgError is a ValueError

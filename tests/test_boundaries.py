@@ -37,6 +37,17 @@ CASES = {
     "surrogate-log10_s-nan": (ls.LengthScaleModel, ([0, nan], [30], [[1], [1]]), "log10_s"),
     "surrogate-theta_deg-nan": (ls.LengthScaleModel, ([0], [nan, 30], [[1, 1]]), "theta_deg"),
     "surrogate-q-nan": (ls.LengthScaleModel, ([0, 1], [30], [[1], [nan]]), "q"),
+    **{f"phi-bound-{name}-{v}": (budget.phi_bound,
+                                 tuple(v if k == i else 0.5 for k in range(5)), name)
+       for i, name in enumerate(("phi111", "gamma_sq_over_mu", "var_sigma",
+                                 "gamma_over_lambda", "var_eta"))
+       for v in (nan, inf)},
+    **{f"budget-{name}-{v}": (budget.assemble_budget,
+                              tuple(v if k == i else 0.5 for k in range(4)), name)
+       for i, name in enumerate(("B", "B_est", "gamma", "phi_used"))
+       for v in (nan, inf)},
+    "budget-volume-inf": (budget.assemble_budget, (0.1, 0.1, 2, 0.5, (inf, 1)), "volume"),
+    "budget-norm-nan": (budget.assemble_budget, (0.1, 0.1, 2, 0.5, (1, nan)), "norm"),
 }
 
 

@@ -29,6 +29,47 @@ def run(tmp_path, command, *argv):
     return cli.main([command, "--output-dir", str(tmp_path), *argv]), tmp_path
 
 
+SERIES_META = "# Re = 100\n# Pr = 0.71\n# r1 = 0.5\n# r2 = 2.0\nt,nu\n"
+
+
+def _cloud(seed):
+    pts = lengthscale.sample_spheroid_surface(2.0, 1.0, 50, seed=seed)
+    return "x,y,z\n" + "".join(f"{x:.17g},{y:.17g},{z:.17g}\n"
+                               for x, y, z in pts)
+
+
+# Input files that argvs name by placeholder; `_inputs` writes them
+INPUTS = {
+    "SERIES": SERIES_META + "".join(f"{k / 100},7.25\n" for k in range(101)),
+    "SERIES2": SERIES_META + "".join(f"{k / 100},7.5\n" for k in range(101)),
+    # relative changes between windows ~6e-5 exp(-t): below the default
+    # threshold at the default activation, above 1e-6 to the end
+    "DECAY": SERIES_META + "".join(
+        f"{k / 100},{7.25 + 0.05 * math.exp(-k / 100)!r}\n"
+        for k in range(101)),
+    "GRID": "s,theta_deg,q\n1,0,1\n1,90,2\n4,0,1.5\n4,90,2.5\n",
+    "GRID2": "s,theta_deg,q\n1,0,1\n1,90,3\n4,0,1.5\n4,90,2.5\n",
+    "SAMPLES": "Re,Nu\n50,5\n150,8\n450,13\n",
+    "SAMPLES2": "Re,Nu\n50,5\n150,9\n450,13\n",
+    "SAMPLES_PR": "Re,Nu,Pr\n100,5,0.71\n",
+    "POINTS": _cloud(3),
+    "POINTS2": _cloud(4),
+}
+
+
+def _inputs(tmp_path, argv):
+    """argv with each INPUTS placeholder replaced by the path of its file,
+    written to tmp_path."""
+    out = []
+    for arg in argv:
+        if arg in INPUTS:
+            path = tmp_path / f"{arg.lower()}.csv"
+            path.write_text(INPUTS[arg])
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
 # ------------------------------------------------------------ happy paths
 
 def test_phi_command(tmp_path):
@@ -230,13 +271,13 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_required_options_from_config_file(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("name = ranz_marshall\nRe = 10\nPr = 0.71\n"
+    cfgfile.write_text("name = flat_plate_turbulent\nRe = 1e6\nPr = 0.71\n"
                        "re-transition = 1e5  # dashes or underscores\n"
                        "strict = yes\n")
     code, out = run(tmp_path, "correlate", "--config", str(cfgfile))
     assert code == 0
     manifest = (out / "correlate_manifest.txt").read_text()
-    assert "name = ranz_marshall\n" in manifest
+    assert "name = flat_plate_turbulent\n" in manifest
     assert "re_transition = 100000\n" in manifest
     assert "strict = true\n" in manifest
 
@@ -271,62 +312,176 @@ def test_config_file_is_checked_like_flags(tmp_path, capsys, command, argv,
     assert not out.exists()  # refused before any output
 
 
-@pytest.mark.parametrize("argv,first,second", [
-    (("lcm", "--B", "0.05", "--gamma", "2", "--solid", "copper"),
-     "--solid", "--fluid"),
-    (("lcm", "--B", "0.05", "--gamma", "2", "--fluid", "air"),
-     "--solid", "--fluid"),
-    (("learn-q", "--correlation", "ranz_marshall", "--surrogate", "GRID",
-      "--eval-s", "2"), "--eval-s", "--eval-theta"),
-    (("learn-q", "--correlation", "ranz_marshall", "--surrogate", "GRID",
-      "--eval-theta", "30"), "--eval-s", "--eval-theta"),
-    (("bounds", "--B", "0.05", "--B-est", "0.05", "--gamma", "4", "--phi",
-      "1", "--volume", "1"), "--volume", "--eta-l1l1"),
-], ids=["solid-alone", "fluid-alone", "eval-s-alone", "eval-theta-alone",
-        "volume-alone"])
-def test_paired_options_are_all_or_none(tmp_path, capsys, argv, first,
-                                        second):
-    grid = tmp_path / "grid.csv"
-    grid.write_text("s,theta_deg,q\n1,0,1\n1,90,2\n4,0,1.5\n4,90,2.5\n")
-    code, out = run(tmp_path / "out",
-                    *[str(grid) if a == "GRID" else a for a in argv])
-    assert code == 2
-    assert capsys.readouterr().err == \
-        f"config error: {first} and {second} must be given together\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv,missing", [
-    (("--Re", "100"), "--r1, --r2, --Pr"),
-    (("--r1", "1", "--r2", "0.822", "--Re", "143"), "--Pr"),
-    (("--solid", "aluminum", "--fluid", "air"), "--Re, --Pr"),
-    (("--solid", "aluminum", "--fluid", "air", "--Pr", "0.71"), "--Re"),
-], ids=["Re-alone", "no-Pr", "materials-alone", "materials-no-Re"])
-def test_lcm_time_scale_inputs_are_all_or_none(tmp_path, capsys, argv,
-                                               missing):
-    code, out = run(tmp_path, "lcm", "--B", "0.05", "--gamma", "2", *argv)
-    assert code == 2
-    assert capsys.readouterr().err == \
-        f"config error: time scales also need {missing}\n"
-    assert not (out / "lcm_report.txt").exists()
-
-
 BOUNDS_SCALARS = ("--B", "0.068", "--B-est", "0.0678", "--gamma", "4",
                   "--phi", "1.1")
+LCM = ("lcm", "--B", "0.05", "--gamma", "2")
+LEARN_Q = ("learn-q", "--correlation", "ranz_marshall")
+FIT = ("fit-shape",)
 
+# Per test: case -> (argv, the refusal, which names each offending flag)
+REFUSALS = {
+    "paired": {
+        "solid-alone": ((*LCM, "--solid", "copper"),
+                        "--solid needs --fluid; --solid needs --Re"),
+        "fluid-alone": ((*LCM, "--fluid", "air"), "--fluid needs --solid"),
+        "eval-s-alone": ((*LEARN_Q, "--surrogate", "GRID", "--eval-s", "2"),
+                         "--eval-s needs --eval-theta"),
+        "eval-theta-alone": ((*LEARN_Q, "--surrogate", "GRID",
+                              "--eval-theta", "30"),
+                             "--eval-theta needs --eval-s"),
+        "volume-alone": (("bounds", *BOUNDS_SCALARS, "--volume", "1"),
+                         "--volume needs --eta-l1l1")},
+    "time-scales": {
+        "Re-alone": ((*LCM, "--Re", "100"),
+                     "--Re needs --Pr; --Re needs --r1 or --solid; "
+                     "--Re needs --r2 or --solid"),
+        "no-Pr": ((*LCM, "--r1", "1", "--r2", "0.822", "--Re", "143"),
+                  "--Re needs --Pr"),
+        "materials-alone": ((*LCM, "--solid", "aluminum", "--fluid", "air"),
+                            "--solid needs --Re"),
+        "materials-no-Re": ((*LCM, "--solid", "aluminum", "--fluid", "air",
+                             "--Pr", "0.71"),
+                            "--Pr needs --Re; --solid needs --Re")},
+    "phi-ub": {
+        "eta-terms": (("bounds", *BOUNDS_SCALARS, "--var-eta", "0.3",
+                       "--gamma-over-lambda", "2"),
+                      "--gamma-over-lambda needs --phi111; "
+                      "--var-eta needs --phi111"),
+        "mu-alone": (("bounds", *BOUNDS_SCALARS, "--gamma-sq-over-mu", "3"),
+                     "--gamma-sq-over-mu needs --var-sigma; "
+                     "--gamma-sq-over-mu needs --phi111"),
+        "var-sigma-alone": (("bounds", *BOUNDS_SCALARS, "--var-sigma", "0.1"),
+                            "--var-sigma needs --gamma-sq-over-mu; "
+                            "--var-sigma needs --phi111")},
+    "cloud-source": {
+        "both": ((*FIT, "--points", "POINTS", "--generate", "sphere"),
+                 "--points cannot be combined with --generate"),
+        "neither": (FIT, "fit-shape needs --points or --generate")},
+    "cloud-options": {
+        "spheroid-options-on-sphere": (
+            (*FIT, "--generate", "sphere", "--a", "3", "--theta", "40"),
+            "--a needs --generate spheroid; "
+            "--theta needs --generate spheroid"),
+        "spheroid-option-on-cuboid": (
+            (*FIT, "--generate", "cuboid", "--b", "2"),
+            "--b needs --generate spheroid"),
+        "cuboid-options-on-spheroid": (
+            (*FIT, "--generate", "spheroid", "--lx", "2", "--lz", "0.5"),
+            "--lx needs --generate cuboid; --lz needs --generate cuboid"),
+        "cuboid-option-on-sphere": (
+            (*FIT, "--generate", "sphere", "--ly", "3"),
+            "--ly needs --generate cuboid"),
+        "n-with-points": ((*FIT, "--points", "POINTS", "--n", "7"),
+                          "--n needs --generate"),
+        "n-and-a-with-points": (
+            (*FIT, "--points", "POINTS", "--n", "500", "--a", "3"),
+            "--a needs --generate spheroid; --n needs --generate"),
+        "seed-with-points": ((*FIT, "--points", "POINTS", "--seed", "3"),
+                             "--seed needs --generate")},
+    "samples": {
+        "Re-Nu": ((*LEARN_Q, "--samples", "SAMPLES_PR", "--Re", "100", "--Nu",
+                   "5"),
+                  "--Re cannot be combined with --samples; "
+                  "--Nu cannot be combined with --samples; --Re needs --Pr"),
+        "Nu": ((*LEARN_Q, "--samples", "SAMPLES_PR", "--Nu", "5"),
+               "--Nu cannot be combined with --samples; --Nu needs --Re")},
+    "surrogate": {
+        "eval": ((*LEARN_Q, "--Re", "100", "--Nu", "5", "--Pr", "0.71",
+                  "--eval-s", "2", "--eval-theta", "30"),
+                 "--eval-s needs --surrogate; "
+                 "--eval-theta needs --surrogate")},
+    "more": {
+        "var-eta-zero": (("bounds", *BOUNDS_SCALARS, "--var-eta", "0"),
+                         "--var-eta needs --gamma-over-lambda; "
+                         "--var-eta needs --phi111"),
+        "ratio-without-var-eta": (
+            ("bounds", *BOUNDS_SCALARS, "--phi111", "0.5",
+             "--gamma-over-lambda", "2"),
+            "--gamma-over-lambda needs --var-eta"),
+        "ratio-without-var-sigma": (
+            ("bounds", *BOUNDS_SCALARS, "--phi111", "0.5",
+             "--gamma-sq-over-mu", "2"),
+            "--gamma-sq-over-mu needs --var-sigma"),
+        "surrogate-Re": ((*LEARN_Q, "--surrogate", "GRID", "--Re", "100"),
+                         "--Re needs --Nu; --Re needs --Pr"),
+        "surrogate-Nu": ((*LEARN_Q, "--surrogate", "GRID", "--Nu", "5"),
+                         "--Nu needs --Re"),
+        "surrogate-Pr": ((*LEARN_Q, "--surrogate", "GRID", "--Pr", "0.5"),
+                         "--Pr needs --samples or --Re"),
+        "samples-Pr-column-and-Pr": (
+            (*LEARN_Q, "--samples", "SAMPLES_PR", "--Pr", "0.5"),
+            "--Pr is needed if and only if the samples file has no Pr column"),
+        "learn-q-no-input": (LEARN_Q,
+                             "learn-q needs --samples or --Re or --surrogate"),
+        "learn-q-re-transition": (
+            (*LEARN_Q, "--Re", "100", "--Nu", "5", "--Pr", "0.71",
+             "--re-transition", "1e5"),
+            "--re-transition needs --correlation flat_plate_turbulent"),
+        "correlate-re-transition": (
+            ("correlate", "--name", "ranz_marshall", "--Re", "100", "--Pr",
+             "0.71", "--re-transition", "1e5"),
+            "--re-transition needs --name flat_plate_turbulent"),
+        **{f"{command}-levels-0": ((command, *base, "--levels", "0"),
+                                   "--levels must be at least 1")
+           for command, base in (("phi", ("--shape", "disk")), ("tables", ()),
+                                 ("rhe", ("--shape", "disk", "--B", "0.1")))},
+        "rhe-steps-1": (
+            ("rhe", "--shape", "disk", "--B", "0.1", "--steps", "1"),
+            "--steps must be at least 2"),
+        "rhe-max-snapshots-0": (
+            ("rhe", "--shape", "square", "--B", "0.04", "--max-snapshots",
+             "0"),
+            "--max-snapshots must be at least 1"),
+        "lcm-t-f-nan": ((*LCM, "--t-f", "nan"), "--t-f must be finite"),
+        "lcm-t-f-negative": ((*LCM, "--t-f", "-1"),
+                             "--t-f must be at least 0")},
+}
 
-@pytest.mark.parametrize("argv,unused", [
-    (("--var-eta", "0.3", "--gamma-over-lambda", "2"),
-     "--gamma-over-lambda, --var-eta"),
-    (("--gamma-sq-over-mu", "3"), "--gamma-sq-over-mu"),
-    (("--var-sigma", "0.1"), "--var-sigma"),
-], ids=["eta-terms", "mu-alone", "var-sigma-alone"])
-def test_bounds_phi_ub_inputs_need_phi111(tmp_path, capsys, argv, unused):
-    code, out = run(tmp_path / "out", "bounds", *BOUNDS_SCALARS, *argv)
+def _refused(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code, _ = run(out, *_inputs(tmp_path, argv))
     assert code == 2
-    assert capsys.readouterr().err == (
-        f"config error: {unused} only enter phi_ub, which needs --phi111\n")
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", REFUSALS["paired"])
+def test_paired_options_are_all_or_none(tmp_path, capsys, case):
+    _refused(tmp_path, capsys, *REFUSALS["paired"][case])
+
+
+@pytest.mark.parametrize("case", REFUSALS["time-scales"])
+def test_lcm_time_scale_inputs_are_all_or_none(tmp_path, capsys, case):
+    _refused(tmp_path, capsys, *REFUSALS["time-scales"][case])
+
+
+@pytest.mark.parametrize("case", REFUSALS["phi-ub"])
+def test_bounds_phi_ub_inputs_need_phi111(tmp_path, capsys, case):
+    _refused(tmp_path, capsys, *REFUSALS["phi-ub"][case])
+
+
+@pytest.mark.parametrize("case", REFUSALS["cloud-source"])
+def test_fit_shape_takes_points_or_generate(tmp_path, capsys, case):
+    _refused(tmp_path, capsys, *REFUSALS["cloud-source"][case])
+
+
+@pytest.mark.parametrize("case", REFUSALS["cloud-options"])
+def test_fit_shape_refuses_options_its_cloud_ignores(tmp_path, capsys, case):
+    _refused(tmp_path, capsys, *REFUSALS["cloud-options"][case])
+
+
+@pytest.mark.parametrize("case", REFUSALS["samples"])
+def test_learn_q_samples_refuse_re_nu(tmp_path, capsys, case):
+    _refused(tmp_path, capsys, *REFUSALS["samples"][case])
+
+
+def test_surrogate_evaluation_needs_surrogate(tmp_path, capsys):
+    _refused(tmp_path, capsys, *REFUSALS["surrogate"]["eval"])
+
+
+@pytest.mark.parametrize("case", REFUSALS["more"])
+def test_option_rules_refuse_and_name_each_flag(tmp_path, capsys, case):
+    _refused(tmp_path, capsys, *REFUSALS["more"][case])
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,84 +494,13 @@ def test_refused_command_leaves_no_manifest(tmp_path, argv):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv,message", [
-    (("--points", "POINTS", "--generate", "sphere"),
-     "argument --generate: not allowed with argument --points"),
-    ((), "one of the arguments --points --generate is required"),
-], ids=["both", "neither"])
-def test_fit_shape_takes_points_or_generate(tmp_path, capsys, argv, message):
-    points = tmp_path / "points.csv"
-    points.write_text("x,y,z\n1,0,0\n0,1,0\n0,0,1\n")
-    code, out = run(tmp_path / "out", "fit-shape",
-                    *[str(points) if a == "POINTS" else a for a in argv])
-    assert code == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv,message", [
-    (("--generate", "sphere", "--a", "3", "--theta", "40"),
-     "--a, --theta cannot be combined with --generate sphere"),
-    (("--generate", "cuboid", "--b", "2"),
-     "--b cannot be combined with --generate cuboid"),
-    (("--generate", "spheroid", "--lx", "2", "--lz", "0.5"),
-     "--lx, --lz cannot be combined with --generate spheroid"),
-    (("--generate", "sphere", "--ly", "3"),
-     "--ly cannot be combined with --generate sphere"),
-    (("--points", "POINTS", "--n", "7"),
-     "--n cannot be combined with --points"),
-    (("--points", "POINTS", "--n", "500", "--a", "3"),
-     "--a, --n cannot be combined with --points"),
-    (("--points", "POINTS", "--seed", "3"),
-     "--seed cannot be combined with --points"),
-], ids=["spheroid-options-on-sphere", "spheroid-option-on-cuboid",
-        "cuboid-options-on-spheroid", "cuboid-option-on-sphere",
-        "n-with-points", "n-and-a-with-points", "seed-with-points"])
-def test_fit_shape_refuses_options_its_cloud_ignores(tmp_path, capsys, argv,
-                                                     message):
-    points = tmp_path / "points.csv"
-    np.savetxt(points, lengthscale.sample_spheroid_surface(2.0, 1.0, 50,
-                                                           seed=3),
-               delimiter=",", header="x,y,z", comments="")
-    code, out = run(tmp_path / "out", "fit-shape",
-                    *[str(points) if a == "POINTS" else a for a in argv])
-    assert code == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
-
-
 def test_fit_shape_refuses_ignored_options_from_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("generate = sphere\nlx = 2\n")
     code, out = run(tmp_path / "out", "fit-shape", "--config", str(cfgfile))
     assert code == 2
     assert capsys.readouterr().err == \
-        "config error: --lx cannot be combined with --generate sphere\n"
-    assert not out.exists()
-
-
-def test_surrogate_evaluation_needs_surrogate(tmp_path, capsys):
-    code, out = run(tmp_path, "learn-q", "--correlation", "ranz_marshall",
-                    "--Re", "100", "--Nu", "5", "--Pr", "0.71", "--eval-s",
-                    "2", "--eval-theta", "30")
-    assert code == 2
-    assert capsys.readouterr().err == \
-        "config error: --eval-s and --eval-theta need --surrogate\n"
-    assert not (out / "learn_q_report.txt").exists()
-
-
-@pytest.mark.parametrize("extra,named", [
-    (("--Re", "100", "--Nu", "5"), "--Re, --Nu"),
-    (("--Nu", "5"), "--Nu"),
-], ids=["Re-Nu", "Nu"])
-def test_learn_q_samples_refuse_re_nu(tmp_path, capsys, extra, named):
-    src = tmp_path / "samples.csv"
-    src.write_text("Re,Nu,Pr\n100,5,0.71\n")
-    code, out = run(tmp_path / "out", "learn-q", "--correlation",
-                    "ranz_marshall", "--samples", str(src), *extra)
-    assert code == 2
-    assert capsys.readouterr().err == \
-        f"config error: {named} cannot be combined with --samples\n"
+        "config error: --lx needs --generate cuboid\n"
     assert not out.exists()
 
 
@@ -450,9 +534,6 @@ def test_bad_numeric_value_is_config_error(tmp_path):
     code, _ = run(tmp_path, "bounds", "--B", "tiny", "--B-est", "0.1",
                   "--gamma", "4", "--phi", "1")
     assert code == 2
-
-
-SERIES_META = "# Re = 100\n# Pr = 0.71\n# r1 = 0.5\n# r2 = 2.0\nt,nu\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -493,13 +574,13 @@ def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
 
 @pytest.mark.parametrize("argv,code,message", [
     (("lcm", "--B", "0.05", "--gamma", "2", "--t-f", "inf"), 2,
-     "config error: time must be finite"),
+     "config error: --t-f must be finite"),
     (("lcm", "--B", "0.05", "--gamma", "2", "--steps", "0"), 2,
      "config error: --steps must be at least 1"),
     (("fit-shape", "--generate", "spheroid", "--n", "-5"), 2,
-     "config error: n must be at least 1, got -5"),
+     "config error: --n must be at least 1"),
     (("fit-shape", "--generate", "cuboid", "--n", "0"), 2,
-     "config error: n must be at least 1, got 0"),
+     "config error: --n must be at least 1"),
     (("learn-q", "--correlation", "churchill_bernstein", "--Re", "1e300",
       "--Nu", "5", "--Pr", "0.71"), 3,
      "numeric failure: no interior minimum for churchill_bernstein at Re=1e+300"),
@@ -532,18 +613,18 @@ def test_window_schedule_cap_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,flag,bound", [
     (("lcm", "--B", "0.05", "--gamma", "2", "--steps", "1000000000000"),
-     "--steps", cli.MAX_STEPS),
+     "--steps", cli.RANGES["steps"][1]),
     (("rhe", "--shape", "disk", "--B", "0.1", "--steps", "1000000000000"),
-     "--steps", cli.MAX_STEPS),
+     "--steps", cli.RANGES["rhe steps"][1]),
     (("fit-shape", "--generate", "sphere", "--n", "1000000000000"),
-     "--n", cli.MAX_POINTS),
+     "--n", cli.RANGES["n"][1]),
     (("phi", "--shape", "disk", "--levels", "12"), "--levels",
-     cli.MAX_LEVELS),
+     cli.RANGES["levels"][1]),
     (("rhe", "--shape", "disk", "--B", "0.1", "--levels", "12"), "--levels",
-     cli.MAX_LEVELS),
-    (("tables", "--levels", "12"), "--levels", cli.MAX_LEVELS),
+     cli.RANGES["levels"][1]),
+    (("tables", "--levels", "12"), "--levels", cli.RANGES["levels"][1]),
     (("rhe", "--shape", "disk", "--B", "0.1", "--max-snapshots",
-      "1000000000000"), "--max-snapshots", cli.MAX_SNAPSHOTS),
+      "1000000000000"), "--max-snapshots", cli.RANGES["max_snapshots"][1]),
 ], ids=["lcm-steps", "rhe-steps", "fit-shape-n", "phi-levels", "rhe-levels",
         "tables-levels", "rhe-max-snapshots"])
 def test_size_flags_are_bounded(tmp_path, capsys, argv, flag, bound):
@@ -596,18 +677,7 @@ def _boundary_cases():
 def test_nonfinite_flag_never_reported(tmp_path, command, base, flag):
     """Every float option, set to nan or inf, either fails the run or
     leaves only finite numbers in the report."""
-    files = {"SERIES": ("series.csv", SERIES_META + "".join(
-                 f"{k / 100},7.25\n" for k in range(101))),
-             "GRID": ("grid.csv", "s,theta_deg,q\n1,0,1\n1,90,2\n"
-                                  "4,0,1.5\n4,90,2.5\n")}
-    argv = []
-    for arg in base:
-        if arg in files:
-            name, text = files[arg]
-            (tmp_path / name).write_text(text)
-            arg = str(tmp_path / name)
-        argv.append(arg)
-    code, out = run(tmp_path, command, *argv, flag)
+    code, out = run(tmp_path, command, *_inputs(tmp_path, base), flag)
     if code == 0:
         for key, val in _report(out, command).items():
             try:
@@ -615,6 +685,95 @@ def test_nonfinite_flag_never_reported(tmp_path, command, base, flag):
             except ValueError:
                 continue
             assert math.isfinite(number), f"{key} = {val}"
+
+
+# Per command, valid base argvs; the BOUNDARY_BASES reach the effect of
+# options that need others.  The correlate bases are out of their validity
+# range, so that --strict refuses them, and the DECAY series converges in a
+# way that --activation and --threshold move.
+CHANGE_BASES = {
+    "phi": [["--shape", "disk", "--levels", "2"]],
+    "bounds": [list(BOUNDS_SCALARS), [*BOUNDS_SCALARS, "--phi111", "0.5"],
+               *BOUNDARY_BASES["bounds"]],
+    "rhe": BOUNDARY_BASES["rhe"],
+    "lcm": [["--B", "0.0678", "--gamma", "4"],
+            ["--B", "0.0678", "--gamma", "4", "--solid", "aluminum", "--fluid",
+             "air", "--Re", "143", "--Pr", "0.71"], *BOUNDARY_BASES["lcm"]],
+    "learn-q": [[*LEARN_Q[1:], "--samples", "SAMPLES", "--Pr", "0.71"],
+                [*LEARN_Q[1:], "--surrogate", "GRID"],
+                [*LEARN_Q[1:], "--Re", "100", "--Nu", "5", "--Pr", "0.71"],
+                *BOUNDARY_BASES["learn-q"]],
+    "fit-shape": [["--points", "POINTS"],
+                  ["--generate", "sphere", "--n", "50"],
+                  *BOUNDARY_BASES["fit-shape"]],
+    "steady-state": [["--series", "DECAY"]],
+    "correlate": [["--name", "ranz_marshall", "--Re", "2e4", "--Pr", "0.71"],
+                  ["--name", "flat_plate_turbulent", "--Re", "1e5", "--Pr",
+                   "0.7"]],
+    "tables": [["--levels", "1"]],
+}
+# Per command, a value of each option other than its default
+OTHER_VALUES = {
+    "phi": {"--shape": "square", "--eta": "linear", "--levels": "3"},
+    "bounds": {"--B": "0.07", "--B-est": "0.07", "--gamma": "3",
+               "--phi": "1.2", "--volume": "2", "--eta-l1l1": "0.2",
+               "--phi111": "0.6", "--gamma-over-lambda": "3",
+               "--gamma-sq-over-mu": "2", "--var-eta": "0.2",
+               "--var-sigma": "0.2"},
+    "rhe": {"--shape": "disk", "--levels": "2", "--B": "0.05",
+            "--eta": "linear", "--t-f": "2", "--steps": "30",
+            "--max-snapshots": "3", "--snapshots": "true"},
+    "lcm": {"--B": "0.05", "--gamma": "3", "--t-f": "2", "--steps": "20",
+            "--solid": "stainless_steel", "--fluid": "water", "--Re": "200",
+            "--Pr": "0.8", "--r1": "2", "--r2": "0.5"},
+    "learn-q": {"--correlation": "churchill_bernstein",
+                "--samples": "SAMPLES2", "--Re": "2e6", "--Nu": "2e3",
+                "--Pr": "0.8", "--re-transition": "1e5",
+                "--surrogate": "GRID2", "--eval-s": "3", "--eval-theta": "45"},
+    "fit-shape": {"--points": "POINTS2", "--generate": "cuboid", "--a": "3",
+                  "--b": "2", "--theta": "45", "--lx": "3", "--ly": "2",
+                  "--lz": "2", "--n": "60", "--seed": "1"},
+    "steady-state": {"--series": "SERIES2", "--St": "0.3", "--Re": "150",
+                     "--Pr": "0.8", "--r1": "0.6", "--r2": "2.5",
+                     "--initial-window": "4", "--step-size": "0.25",
+                     "--growth": "0.1", "--activation": "20",
+                     "--threshold": "1e-6"},
+    "correlate": {"--name": "churchill_bernstein", "--Re": "200",
+                  "--Pr": "0.8", "--re-transition": "1e5", "--q": "2",
+                  "--r2": "0.05", "--strict": "true"},
+    "tables": {"--levels": "2"},
+}
+
+
+def _outputs(out):
+    """Every file a run wrote but its manifest, which echoes the options."""
+    return {p.name: p.read_bytes() for p in out.iterdir()
+            if not p.name.endswith("_manifest.txt")}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_option_changes_the_output_or_is_refused(tmp_path, command):
+    """Each option, set to another value on each base, is refused (exit 2,
+    no output) or changes the report, a CSV or the set of files."""
+    opts = cli.COMMANDS[command][1]
+    assert OTHER_VALUES[command].keys() == opts.keys()
+    inert = []
+    for i, base in enumerate(CHANGE_BASES[command]):
+        own = dict(zip(base[::2], base[1::2]))
+        base = _inputs(tmp_path, base)
+        code, out = run(tmp_path / f"{i}", command, *base)
+        assert code == 0, base
+        before = _outputs(out)
+        for flag, value in OTHER_VALUES[command].items():
+            if own.get(flag) == value:  # the base's own value changes nothing
+                continue
+            out = tmp_path / f"{i}{flag}"
+            code, _ = run(out, command, *base,
+                          *_inputs(tmp_path, [flag, value]))
+            if not (code == 2 and not out.exists()
+                    or code == 0 and _outputs(out) != before):
+                inert.append((base, flag, code))
+    assert inert == []
 
 
 @pytest.mark.parametrize("command,flag,text,message", [
@@ -654,8 +813,8 @@ def test_malformed_table_rows_name_file_and_line(tmp_path, capsys, command,
                                                  flag, text, message):
     src = tmp_path / "input.csv"
     src.write_text(text)
-    extra = ("--correlation", "ranz_marshall", "--Pr", "0.71") \
-        if command == "learn-q" else ()
+    extra = {"--samples": ("--correlation", "ranz_marshall", "--Pr", "0.71"),
+             "--surrogate": ("--correlation", "ranz_marshall")}.get(flag, ())
     code, _ = run(tmp_path, command, flag, str(src), *extra)
     assert code == 2
     err = capsys.readouterr().err
@@ -737,7 +896,8 @@ def test_negative_variance_in_bounds_is_named(tmp_path, capsys):
                   "--gamma", "4", "--phi", "1", "--phi111", "0.5",
                   "--gamma-over-lambda", "2", "--var-eta", "-1")
     assert code == 2
-    assert "variances must be nonnegative" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "config error: var_eta must be finite and nonnegative\n"
 
 
 @pytest.mark.parametrize("exc", [
@@ -931,7 +1091,7 @@ def _fit_points(tmp_path, monkeypatch):
     fit = lengthscale.SpheroidFit(1.0, 0.0, 1.0, 1.0, np.array([1.0, 0, 0]),
                                   False)
     monkeypatch.setattr(lengthscale, "sample_spheroid_surface",
-                        lambda a, b, n, seed: pts)
+                        lambda a, b, n, theta_deg, seed: pts)
     monkeypatch.setattr(lengthscale, "fit_spheroid", lambda points: fit)
     return _cli_csv(tmp_path, "fit_points.csv", "fit-shape", "--generate",
                     "sphere")
