@@ -396,8 +396,9 @@ def cmd_learn_q(cfg):
     rows = [("correlation", cfg["correlation"])]
     if cfg["samples"] is not None:
         _, data = series_mod.read_table(cfg["samples"], "re,", None)
-        if data.shape[1] < 2:
-            raise ConfigError("samples CSV needs columns Re,Nu[,Pr]")
+        if not 2 <= data.shape[1] <= 3:
+            raise ConfigError(f"{cfg['samples']}: samples CSV needs columns "
+                              f"Re,Nu[,Pr], not {data.shape[1]}")
         if (data.shape[1] > 2) == (cfg["Pr"] is not None):  # not in RULES
             raise ConfigError("--Pr is needed if and only if the samples "
                               "file has no Pr column")

@@ -153,9 +153,10 @@ class LengthScaleModel:
     @staticmethod
     def from_csv(path) -> "LengthScaleModel":
         _, rows = read_table(path, "s,", None)
-        if len(rows) and rows.shape[1] < 3:
-            raise ValueError(f"{path}: surrogate CSV needs columns s,theta_deg,q")
-        return build_surrogate(rows[:, :3])
+        if len(rows) and rows.shape[1] != 3:
+            raise ValueError(f"{path}: surrogate CSV needs columns s,theta_deg,q,"
+                             f" not {rows.shape[1]}")
+        return build_surrogate(rows)
 
 
 def _cell(axis: np.ndarray, a: np.ndarray, name: str):

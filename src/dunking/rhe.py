@@ -21,18 +21,20 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .mesh import Mesh2D, geometry_stats
-from .fem import FieldSet, assemble_forms, boundary_mean, mass_matrix
+from .fem import (FieldSet, assemble_forms, boundary_mean, factor_spd,
+                  mass_matrix)
 from .eigen import EigenPair
 
 # Largest n (n + nb) (n nodes, nb boundary nodes) for which _march steps with
-# dense operators.  Measured per step (2 cores, one BLAS thread), dense is
-# 2.4-3.4x faster on the disk at levels 3-4 and 1.5-1.8x at cross level 3
-# (n (n + nb) = 171 585), breaks even near 2.5e5 and is 2-4x slower at the
-# triangle's level 5 (518 241); half the break-even keeps it a win under host
-# drift, and G stays within 1 MiB.
+# dense operators.  Measured per step against the `factor_spd` solves (2
+# cores, one BLAS thread; autonomous / time-dependent), dense is 3.4 / 2.8x
+# faster on the level-3 disk, 1.8-2.3 / 2.0-2.7x on the level-4 disk and
+# square (n (n + nb) = 102 017) and 1.35 / 2.4x at cross level 3 (171 585);
+# it breaks even near 2.4e5 / 4e5 and is 2.0 / 1.3x slower at the
+# triangle's level 5 (518 241).  About half the autonomous break-even keeps
+# it a win under host drift, and G stays within 1 MiB.
 DENSE_BUDGET = 1 << 17
 
 # Boundary columns per SuperLU solve when _march forms C = P K1^-1 P^T above
@@ -123,9 +125,10 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     """BDF2 after one backward-Euler step for  M u' + (A0 + B g(t) A1) u = 0.
 
     The startup matrix M/dt + A0 + B g(t_1) A1 and K1 = 1.5 M/dt + A0 + B A1
-    are factored once each.  A step with s = B (g(t) - 1) != 0 corrects
-    y = K1^-1 rhs on the boundary nodes b carrying A1 = P^T A1_bb P
-    (Woodbury):  u = y - K1^-1 P^T w,  (I + s A1_bb C) w = s A1_bb y_b,
+    are SPD and factored once each by `factor_spd`.  A step with
+    s = B (g(t) - 1) != 0 corrects y = K1^-1 rhs on the boundary nodes b
+    carrying A1 = P^T A1_bb P (Woodbury):  u = y - K1^-1 P^T w,
+    (I + s A1_bb C) w = s A1_bb y_b,
     C = P K1^-1 P^T.  The pencil (C A1_bb C, C) has C-orthonormal
     eigenvectors V with A1_bb C V = V diag(lam), so
     w = V diag(s / (1 + s lam)) W y_b  for W = V^T C A1_bb;
@@ -167,9 +170,9 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     # the backward-Euler startup step; its factor is freed before K1's is built
     u_prev = np.ones(n)
     K_be = K if s[1] == 0.0 else (forms.A0 + (robin.B * g[1]) * A1).tocsc()
-    u = spla.splu(M / dt + K_be).solve(M @ u_prev / dt)
+    u = factor_spd(M / dt + K_be).solve(M @ u_prev / dt)
     del K_be
-    lu = spla.splu(1.5 * M / dt + K)
+    lu = factor_spd(1.5 * M / dt + K)
     bnd = np.unique(A1.nonzero()[0])
     dense = n * (n + len(bnd)) <= DENSE_BUDGET
     if dense:

@@ -52,6 +52,9 @@ INPUTS = {
     "SAMPLES": "Re,Nu\n50,5\n150,8\n450,13\n",
     "SAMPLES2": "Re,Nu\n50,5\n150,9\n450,13\n",
     "SAMPLES_PR": "Re,Nu,Pr\n100,5,0.71\n",
+    "SAMPLES_JUNK": "Re,Nu,Pr,junk\n100,5,0.71,1\n",
+    "GRID_JUNK": "s,theta_deg,q,junk\n1,0,1,0\n1,90,2,0\n4,0,1.5,0\n"
+                 "4,90,2.5,0\n",
     "POINTS": _cloud(3),
     "POINTS2": _cloud(4),
 }
@@ -588,15 +591,26 @@ def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
         "--q", value), 2,
        "config error: q (length scale ratio) must be finite and positive")
       for value in ("nan", "inf")],
+    (("learn-q", "--correlation", "ranz_marshall", "--samples",
+      "SAMPLES_JUNK"), 2, "config error: SAMPLES_JUNK: samples CSV needs "
+     "columns Re,Nu[,Pr], not 4"),
+    (("learn-q", "--correlation", "ranz_marshall", "--surrogate",
+      "GRID_JUNK"), 2, "config error: GRID_JUNK: surrogate CSV needs "
+     "columns s,theta_deg,q, not 4"),
 ], ids=["lcm-t-f-inf", "lcm-steps-0", "spheroid-n-negative", "cuboid-n-0",
-        "learn-q-overflow", "correlate-q-nan", "correlate-q-inf"])
+        "learn-q-overflow", "correlate-q-nan", "correlate-q-inf",
+        "samples-4-columns", "surrogate-4-columns"])
 def test_rejected_input_prints_only_its_error_line(tmp_path, capsys, argv,
                                                    code, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got, _ = run(tmp_path, *argv)
+        args = _inputs(tmp_path, argv)
+        got, _ = run(tmp_path, *args)
     assert got == code
     assert [str(w.message) for w in caught] == []
+    for name, path in zip(argv, args):  # a placeholder names its file
+        if name in INPUTS:
+            message = message.replace(name, path)
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1, err
 

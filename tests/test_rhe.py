@@ -157,8 +157,8 @@ def test_superlu_solves_per_step_only_above_dense_budget(monkeypatch, level,
     splu = spla.splu
 
     class CountingLU:
-        def __init__(self, A):
-            self.lu = splu(A)
+        def __init__(self, A, **kw):
+            self.lu = splu(A, **kw)
 
         def solve(self, rhs):
             solves.append(rhs.shape)
@@ -172,6 +172,31 @@ def test_superlu_solves_per_step_only_above_dense_budget(monkeypatch, level,
     rhe.solve_rhe_timedep(m, f, robin, t_f=1.0, steps=20, max_snapshots=0)
     # two per step: the K1 solve and its boundary correction
     assert (len(solves) >= 2 * 19) == per_step
+
+
+def test_every_factorization_uses_the_spd_recipe(monkeypatch, disk3):
+    calls = []
+    splu = spla.splu
+
+    def recording(A, **kw):
+        calls.append(kw)
+        return splu(A, **kw)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    budget.shape_constants(disk3, [])
+    f = fields_with_eta(disk3, "step")
+    robin = rhe.RobinCoefficient(0.1, eta=f.eta)
+    varying = rhe.RobinCoefficient(0.1, eta=f.eta,
+                                   time_scale=lambda t: 1.0 + t)
+    for limit in (rhe.DENSE_BUDGET, 0):  # the dense and the sparse branch
+        monkeypatch.setattr(rhe, "DENSE_BUDGET", limit)
+        rhe.solve_rhea(disk3, f, robin, t_f=1.0, steps=10)
+        rhe.solve_rhe_timedep(disk3, f, varying, t_f=1.0, steps=10)
+    # the constrained factor, then two per march
+    assert len(calls) == 1 + 4 * 2
+    recipe = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  relax=1, panel_size=1, options={"SymmetricMode": True})
+    assert calls == [recipe] * len(calls)
 
 
 def _stepwise_reference(m, f, B, g, t_f, steps):
