@@ -421,8 +421,8 @@ def sample_spheroid_surface(a: float, b: float, n: int = 500,
         raise ValueError("semi-axes must be finite and positive")
     if not math.isfinite(theta_deg):
         raise ValueError("angle of attack must be finite")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if not 1 <= n < math.inf:
+        raise ValueError(f"n must be at least 1 and finite, got {n}")
     rng = np.random.default_rng(seed)
     wmax = b * max(a, b)
     pts = []
@@ -448,8 +448,8 @@ def sample_cuboid_surface(lx: float, ly: float, lz: float, n: int = 500,
     """Uniform-area sample of the box surface, stratified by face."""
     if not all(0 < v < math.inf for v in (lx, ly, lz)):
         raise ValueError("edge lengths must be finite and positive")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    if not 1 <= n < math.inf:
+        raise ValueError(f"n must be at least 1 and finite, got {n}")
     rng = np.random.default_rng(seed)
     dims = np.array([lx, ly, lz])
     areas = np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])

@@ -21,20 +21,23 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .mesh import Mesh2D, geometry_stats
 from .fem import (FieldSet, assemble_forms, boundary_mean, factor_spd,
-                  mass_matrix)
+                  mass_matrix, _solve_spd)
 from .eigen import EigenPair
 
 # Largest n (n + nb) (n nodes, nb boundary nodes) for which _march steps with
-# dense operators.  Measured per step against the `factor_spd` solves (2
-# cores, one BLAS thread; autonomous / time-dependent), dense is 3.4 / 2.8x
-# faster on the level-3 disk, 1.8-2.3 / 2.0-2.7x on the level-4 disk and
-# square (n (n + nb) = 102 017) and 1.35 / 2.4x at cross level 3 (171 585);
-# it breaks even near 2.4e5 / 4e5 and is 2.0 / 1.3x slower at the
-# triangle's level 5 (518 241).  About half the autonomous break-even keeps
-# it a win under host drift, and G stays within 1 MiB.
+# dense operators.  Measured per step against the `factor_spd` solves, with
+# one vector through the transposed path (2 cores, one BLAS thread;
+# autonomous / time-dependent; medians of 5-7 rounds, two runs),
+# dense is 3.0-3.4 / 2.6-2.8x faster on the level-3 disk, 1.4-1.7 /
+# 1.7-2.2x on the level-4 disk and square (n (n + nb) = 102 017) and
+# 1.06-1.11 / 1.3-1.5x at cross level 3 (171 585); the autonomous step
+# breaks even near 1.8e5 and dense is 2.5-3.4 / 2.0x slower at the
+# triangle's level 5 (518 241).  The budget stays below the break-even by
+# a margin for host drift, and G stays within 1 MiB.
 DENSE_BUDGET = 1 << 17
 
 # Boundary columns per SuperLU solve when _march forms C = P K1^-1 P^T above
@@ -71,6 +74,7 @@ class TransientSolution:
     u_avg: np.ndarray
     snapshot_times: np.ndarray | None = None
     snapshots: np.ndarray | None = None  # (len(snapshot_times), n) nodal fields
+    unit_mass: sp.csr_matrix | None = None  # the march's M when sigma = 1
 
     def write_series(self, path) -> None:
         np.savetxt(path, np.column_stack([self.times, self.u_avg]),
@@ -146,8 +150,8 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     if not np.isfinite(t_f) or t_f <= 0:
         raise ValueError("t_f must be finite and positive")
     eta = np.asarray(robin.eta, dtype=float)
-    if np.any(eta < 0):
-        raise ValueError("eta must be nonnegative")
+    if not np.all(np.isfinite(eta) & (eta >= 0)):
+        raise ValueError("eta must be nonnegative and finite")
     if abs(boundary_mean(mesh, eta) - 1.0) > 1e-8:
         raise ValueError("static eta must have perimeter mean 1")
     times = np.linspace(0.0, t_f, steps + 1)
@@ -161,16 +165,16 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     n = mesh.num_vertices
     dt = t_f / steps
     forms = assemble_forms(mesh, fields.replace(eta=eta))
-    M = forms.M.tocsc()
+    M = forms.M  # symmetric: its CSR matvec gives the CSC one's bits
     c = forms.c
     area = c.sum()  # = int sigma = |Omega| for normalized fields
     A1 = forms.A1
-    K = (forms.A0 + robin.B * A1).tocsc()
+    K = forms.A0 + robin.B * A1
     s = robin.B * (g - 1.0)
     # the backward-Euler startup step; its factor is freed before K1's is built
     u_prev = np.ones(n)
-    K_be = K if s[1] == 0.0 else (forms.A0 + (robin.B * g[1]) * A1).tocsc()
-    u = factor_spd(M / dt + K_be).solve(M @ u_prev / dt)
+    K_be = K if s[1] == 0.0 else forms.A0 + (robin.B * g[1]) * A1
+    u = _solve_spd(factor_spd(M / dt + K_be), M @ u_prev / dt)
     del K_be
     lu = factor_spd(1.5 * M / dt + K)
     bnd = np.unique(A1.nonzero()[0])
@@ -179,7 +183,7 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
         G = lu.solve((M / dt).toarray())
         implicit = G.__matmul__
     else:
-        implicit = lambda v: lu.solve(M @ v / dt)
+        implicit = lambda v: _solve_spd(lu, M @ v / dt)
     if np.any(s[2:]):
         A_bb = A1[bnd][:, bnd].toarray()
         # Z = K1^-1 P^T by column blocks, of which the sparse branch keeps
@@ -202,7 +206,7 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
 
             def correct(w):
                 r[bnd] = V @ w
-                return lu.solve(r)
+                return _solve_spd(lu, r)
         del E, Z  # freed before the steps allocate their snapshots
 
     slots = _snapshot_slots(steps, max_snapshots)
@@ -222,8 +226,10 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
         if k in row:
             snaps[row[k]] = u
     u_avg[1:] /= area
+    unit = np.all(fields.sigma == 1.0)
     return TransientSolution(times=times, u_avg=u_avg,
-                             snapshot_times=times[slots], snapshots=snaps)
+                             snapshot_times=times[slots], snapshots=snaps,
+                             unit_mass=forms.M if unit else None)
 
 
 # ------------------------------------------------------- spectral route
@@ -257,11 +263,14 @@ def coefficient_of_variation(solution: TransientSolution, mesh: Mesh2D) -> np.nd
     """CV(t) = sqrt of the spatial variance over the spatial mean, per snapshot.
 
     Uses the plain (sigma-unweighted) spatial mean; entries where the mean
-    is nonpositive are reported as NaN.
+    is nonpositive are reported as NaN.  The mass matrix is the solution's
+    `unit_mass` when it has one.
     """
     if solution.snapshots is None or len(solution.snapshots) == 0:
         raise ValueError("solution has no stored snapshots")
-    M1 = mass_matrix(mesh, np.ones(mesh.num_triangles))
+    M1 = solution.unit_mass
+    if M1 is None:
+        M1 = mass_matrix(mesh, np.ones(mesh.num_triangles))
     area = float(mesh.triangle_areas().sum())
     mass = M1 @ np.ones(mesh.num_vertices)
     out = np.empty(len(solution.snapshots))

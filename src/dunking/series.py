@@ -272,6 +272,8 @@ def _segments(coords, values, periodic, period):
             if len(pos) == 0:
                 raise ValueError("cannot infer the period from coincident points")
             period = float(coords[-1] - coords[0] + np.median(pos))
+        elif not 0 < period < math.inf:
+            raise ValueError(f"period must be finite and positive, got {period}")
         wrap = period - (coords[-1] - coords[0])
         if wrap < -1e-12 * period:
             raise ValueError("period shorter than the coordinate span")
@@ -284,6 +286,8 @@ def _segments(coords, values, periodic, period):
 def piecewise_linear_mean(h, a, b) -> float:
     """Length-weighted mean of a function linear on each segment, exact;
     segment i has length h[i] and end values a[i], b[i]."""
+    if not np.all(np.isfinite(h) & (h >= 0)):
+        raise ValueError("h (segment lengths) must be finite and nonnegative")
     return float((h * (a + b) / 2.0).sum() / h.sum())
 
 

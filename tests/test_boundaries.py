@@ -2,13 +2,25 @@
 name the parameter."""
 import math
 
+import numpy as np
 import pytest
 
-from dunking import budget
+from dunking import budget, fem, mesh, rhe, series
 from dunking import correlations as corr
 from dunking import lengthscale as ls
 
 nan, inf = math.nan, math.inf
+
+
+def march_with_eta(value):
+    """An autonomous march on the level-1 disk with one eta value replaced."""
+    m = mesh.generate_canonical("disk", 1)
+    f = fem.FieldSet.from_constants(m)
+    eta = f.eta.copy()
+    eta[0, 0] = value
+    return rhe.solve_rhea(m, f, rhe.RobinCoefficient(0.1, eta=eta),
+                          t_f=1.0, steps=2)
+
 
 CASES = {
     "composite-fractions-nan": (budget.composite_sigma_variance, ([nan, 1], [1, 2]), "fractions"),
@@ -48,6 +60,15 @@ CASES = {
        for v in (nan, inf)},
     "budget-volume-inf": (budget.assemble_budget, (0.1, 0.1, 2, 0.5, (inf, 1)), "volume"),
     "budget-norm-nan": (budget.assemble_budget, (0.1, 0.1, 2, 0.5, (1, nan)), "norm"),
+    "rhea-eta-nan": (march_with_eta, (nan,), "eta"),
+    "rhea-eta-inf": (march_with_eta, (inf,), "eta"),
+    "spheroid-sample-n-nan": (ls.sample_spheroid_surface, (2, 1, nan), "n"),
+    "cuboid-sample-n-inf": (ls.sample_cuboid_surface, (1, 1, 1, inf), "n"),
+    **{f"eta-profile-period-{v}": (series.eta_profile_stats,
+                                   ([0, 1, 2], [1, 2, 1], True, v), "period")
+       for v in (nan, inf)},
+    "piecewise-mean-h-nan": (series.piecewise_linear_mean,
+                             (np.array([1.0, nan]), np.ones(2), np.ones(2)), "h"),
 }
 
 

@@ -127,9 +127,9 @@ class _CountingLU:
         self.lu = lu
         self.solves = 0
 
-    def solve(self, x):
+    def solve(self, x, **kw):
         self.solves += 1
-        return self.lu.solve(x)
+        return self.lu.solve(x, **kw)
 
 
 @pytest.mark.parametrize("shape", budget.SHAPES)

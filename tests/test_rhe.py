@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -160,9 +161,9 @@ def test_superlu_solves_per_step_only_above_dense_budget(monkeypatch, level,
         def __init__(self, A, **kw):
             self.lu = splu(A, **kw)
 
-        def solve(self, rhs):
+        def solve(self, rhs, **kw):
             solves.append(rhs.shape)
-            return self.lu.solve(rhs)
+            return self.lu.solve(rhs, **kw)
 
     monkeypatch.setattr(spla, "splu", CountingLU)
     m = mesh.generate_canonical("disk", level)
@@ -197,6 +198,42 @@ def test_every_factorization_uses_the_spd_recipe(monkeypatch, disk3):
     recipe = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   relax=1, panel_size=1, options={"SymmetricMode": True})
     assert calls == [recipe] * len(calls)
+
+
+def test_vectors_take_the_transposed_solve_and_blocks_do_not(monkeypatch,
+                                                             disk3):
+    solves = []
+    splu = spla.splu
+
+    class RecordingLU:
+        def __init__(self, A, **kw):
+            self.lu = splu(A, **kw)
+
+        def solve(self, rhs, **kw):
+            solves.append((rhs.ndim, kw))
+            return self.lu.solve(rhs, **kw)
+
+    monkeypatch.setattr(spla, "splu", RecordingLU)
+    budget.shape_constants(disk3, [])
+    f = fields_with_eta(disk3, "step")
+    monkeypatch.setattr(rhe, "DENSE_BUDGET", 0)
+    rhe.solve_rhea(disk3, f, rhe.RobinCoefficient(0.1, eta=f.eta),
+                   t_f=1.0, steps=10)
+    rhe.solve_rhe_timedep(disk3, f, rhe.RobinCoefficient(
+        0.1, eta=f.eta, time_scale=lambda t: 1.0 + t), t_f=1.0, steps=10)
+    assert {ndim for ndim, _ in solves} == {1, 2}
+    for ndim, kw in solves:
+        assert kw == ({"trans": "T"} if ndim == 1 else {})
+
+
+def test_transposed_solve_matches_the_default_one(disk5):
+    # K1 = 1.5 M/dt + A0 + B A1 is symmetric, so both paths solve K1 x = b
+    f = fields_with_eta(disk5, "step")
+    forms = fem.assemble_forms(disk5, f)
+    lu = fem.factor_spd(1.5 * forms.M / 1e-3 + forms.A0 + 0.1 * forms.A1)
+    b = np.random.default_rng(0).standard_normal(forms.n)
+    x = lu.solve(b)
+    assert np.max(np.abs(fem._solve_spd(lu, b) - x)) <= 1e-14 * np.max(np.abs(x))
 
 
 def _stepwise_reference(m, f, B, g, t_f, steps):
@@ -430,3 +467,17 @@ def test_coefficient_of_variation(disk4):
                                  snapshot_times=np.array([0.0]),
                                  snapshots=[-np.ones(disk4.num_vertices)])
     assert np.isnan(rhe.coefficient_of_variation(fake, disk4)[0])
+
+
+def test_coefficient_of_variation_reuses_the_unit_mass_matrix(disk4):
+    f = uniform_fields(disk4)
+    robin = rhe.RobinCoefficient(0.1, eta=f.eta)
+    sol = rhe.solve_rhea(disk4, f, robin, t_f=1.0, steps=50)
+    ones = np.ones(disk4.num_triangles)
+    assert (sol.unit_mass != fem.mass_matrix(disk4, ones)).nnz == 0
+    rebuilt = dataclasses.replace(sol, unit_mass=None)
+    assert np.array_equal(rhe.coefficient_of_variation(sol, disk4),
+                          rhe.coefficient_of_variation(rebuilt, disk4))
+    weighted = f.replace(sigma=np.where(np.arange(len(ones)) % 2, 0.5, 1.5))
+    assert rhe.solve_rhea(disk4, weighted, robin, t_f=1.0,
+                          steps=50).unit_mass is None
