@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -408,6 +409,11 @@ def fit_spheroid(points) -> SpheroidFit:
 
 # -------------------------------------------------- sampling fixtures
 
+def _check_sample_count(n) -> None:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be at least 1 and a finite integer, got {n}")
+
+
 def sample_spheroid_surface(a: float, b: float, n: int = 500,
                             theta_deg: float = 0.0, seed=None) -> np.ndarray:
     """Uniform-area sample of the spheroid with semi-axes (a, b, b).
@@ -421,8 +427,7 @@ def sample_spheroid_surface(a: float, b: float, n: int = 500,
         raise ValueError("semi-axes must be finite and positive")
     if not math.isfinite(theta_deg):
         raise ValueError("angle of attack must be finite")
-    if not 1 <= n < math.inf:
-        raise ValueError(f"n must be at least 1 and finite, got {n}")
+    _check_sample_count(n)
     rng = np.random.default_rng(seed)
     wmax = b * max(a, b)
     pts = []
@@ -448,8 +453,7 @@ def sample_cuboid_surface(lx: float, ly: float, lz: float, n: int = 500,
     """Uniform-area sample of the box surface, stratified by face."""
     if not all(0 < v < math.inf for v in (lx, ly, lz)):
         raise ValueError("edge lengths must be finite and positive")
-    if not 1 <= n < math.inf:
-        raise ValueError(f"n must be at least 1 and finite, got {n}")
+    _check_sample_count(n)
     rng = np.random.default_rng(seed)
     dims = np.array([lx, ly, lz])
     areas = np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])

@@ -29,15 +29,17 @@ from .fem import (FieldSet, assemble_forms, boundary_mean, factor_spd,
 from .eigen import EigenPair
 
 # Largest n (n + nb) (n nodes, nb boundary nodes) for which _march steps with
-# dense operators.  Measured per step against the `factor_spd` solves, with
-# one vector through the transposed path (2 cores, one BLAS thread;
-# autonomous / time-dependent; medians of 5-7 rounds, two runs),
-# dense is 3.0-3.4 / 2.6-2.8x faster on the level-3 disk, 1.4-1.7 /
-# 1.7-2.2x on the level-4 disk and square (n (n + nb) = 102 017) and
-# 1.06-1.11 / 1.3-1.5x at cross level 3 (171 585); the autonomous step
-# breaks even near 1.8e5 and dense is 2.5-3.4 / 2.0x slower at the
-# triangle's level 5 (518 241).  The budget stays below the break-even by
-# a margin for host drift, and G stays within 1 MiB.
+# dense operators.  A time-dependent step costs one (n + nb) x n matvec
+# with the stacked [G; W P G], plus the n x nb correction when s != 0.
+# Measured per step against the `factor_spd` solves, with one vector
+# through the transposed path (2 cores, one BLAS thread; uniform eta;
+# autonomous / time-dependent; medians of 8 rounds, two runs), dense is
+# 3.2-3.4 / 3.6-3.7x faster on the level-3 disk, 1.5-1.9 / 1.8-2.5x on the
+# level-4 disk and square (n (n + nb) = 102 017) and 1.07-1.16 /
+# 1.13-1.23x at cross level 3 (171 585); dense is 2.8-3.4 / 1.8-1.9x
+# slower at the triangle's level 5 (518 241).  The budget stays below the
+# break-even by a margin for host drift.  The stacked operator holds
+# n (n + nb) doubles, at most 1 MiB at the budget, plus ZV's n nb.
 DENSE_BUDGET = 1 << 17
 
 # Boundary columns per SuperLU solve when _march forms C = P K1^-1 P^T above
@@ -90,9 +92,13 @@ class TransientSolution:
 
 
 def _snapshot_slots(steps: int, max_snapshots: int) -> np.ndarray:
+    """Up to max_snapshots ascending steps that end at `steps`, nearly
+    equispaced from step 0; a budget of one keeps only the last step."""
     if max_snapshots <= 0:
         return np.array([], dtype=int)
-    every = max(1, int(np.ceil(steps / max(1, max_snapshots - 1))))
+    if max_snapshots == 1:
+        return np.array([steps])
+    every = int(np.ceil(steps / (max_snapshots - 1)))
     slots = np.arange(0, steps + 1, every)
     if slots[-1] != steps:
         slots = np.append(slots, steps)
@@ -106,7 +112,8 @@ def solve_rhea(mesh: Mesh2D, fields: FieldSet, robin: RobinCoefficient,
 
     t_f defaults to three lumped time constants 3/(B*gamma).  u_avg is
     recorded at every step and up to max_snapshots nodal fields are kept at
-    (nearly) equispaced steps.
+    (nearly) equispaced steps, the last one always; max_snapshots = 1 keeps
+    only the final field.
     """
     if not robin.autonomous:
         raise ValueError("solve_rhea requires a static boundary variation")
@@ -139,11 +146,14 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     1 + s lam > 0 because K1 + s A1 is SPD for every g >= 0.
 
     The step operators are chosen once, before the loop.  When
-    n (n + nb) <= DENSE_BUDGET they are the dense G = K1^-1 M/dt and
-    ZV = K1^-1 P^T V, so a step is  y = G (2u - u_prev/2)  and, when s != 0,
-    y -= ZV diag(s / (1 + s lam)) W y_b: two or three small matvecs.  Above
-    the budget a step makes one or two SuperLU solves.  The two agree to
-    rounding (~1e-13 after thousands of steps).
+    n (n + nb) <= DENSE_BUDGET they are dense.  An autonomous step is
+    y = G (2u - u_prev/2)  with G = K1^-1 M/dt, one n x n matvec.  A
+    time-dependent march stacks W P G under G, so one (n + nb) x n matvec
+    gives y and W y_b together; a step with s != 0 then subtracts
+    ZV (W y_b / (1/s + lam)), ZV = K1^-1 P^T V, one n x nb matvec.  Above
+    the budget a step makes one SuperLU solve, and a second for the
+    correction, with W y_b formed from y.  The two agree to rounding
+    (~1e-13 after thousands of steps).
     """
     if steps < 2:
         raise ValueError("need at least 2 time steps")
@@ -178,17 +188,17 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     del K_be
     lu = factor_spd(1.5 * M / dt + K)
     bnd = np.unique(A1.nonzero()[0])
-    dense = n * (n + len(bnd)) <= DENSE_BUDGET
+    nb = len(bnd)
+    dense = n * (n + nb) <= DENSE_BUDGET
+    # The loop passes the BDF2 history 2u - u_prev/2 halved, u - u_prev/4,
+    # one vector op fewer, and both branches double it back: above the
+    # subnormal range a power of two scales exactly, so no bit moves.
     if dense:
-        G = lu.solve((M / dt).toarray())
-        implicit = G.__matmul__
-    else:
-        implicit = lambda v: _solve_spd(lu, M @ v / dt)
+        G = 2.0 * lu.solve((M / dt).toarray())
     if np.any(s[2:]):
         A_bb = A1[bnd][:, bnd].toarray()
         # Z = K1^-1 P^T by column blocks, of which the sparse branch keeps
         # only the boundary rows C; the dense branch solves all at once
-        nb = len(bnd)
         width = nb if dense else COLUMN_BLOCK
         C = np.empty((nb, nb))
         for j in range(0, nb, width):
@@ -200,14 +210,22 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
         lam, V = sla.eigh(C @ A_bb @ C, C)
         W = V.T @ C @ A_bb
         if dense:
+            # W P G under G: one matvec gives y and W y_b together
+            G = np.vstack([G, W @ G[bnd]])
+            project = lambda z: z[n:]
             correct = (Z @ V).__matmul__
         else:
+            project = lambda z: W @ z[bnd]
             r = np.zeros(n)  # P^T V w; zero off the boundary nodes
 
             def correct(w):
                 r[bnd] = V @ w
                 return _solve_spd(lu, r)
         del E, Z  # freed before the steps allocate their snapshots
+    if dense:
+        implicit = G.__matmul__
+    else:
+        implicit = lambda v: _solve_spd(lu, M @ v / (0.5 * dt))
 
     slots = _snapshot_slots(steps, max_snapshots)
     row = {k: i for i, k in enumerate(slots.tolist())}
@@ -215,12 +233,14 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     u_avg[0] = 1.0  # exact: the initial field is identically one
     # allocated once both factors are built and the startup factor is freed
     snaps = np.empty((len(slots), n))
-    snaps[:1] = 1.0  # slot 0 is step 0
+    if 0 in row:
+        snaps[row[0]] = 1.0
     for k, sk in enumerate(s.tolist()[1:], start=1):
         if k > 1:
-            y = implicit(2.0 * u - 0.5 * u_prev)
-            if sk != 0.0:
-                y -= correct(sk / (1.0 + sk * lam) * (W @ y[bnd]))
+            z = implicit(u - 0.25 * u_prev)
+            y = z[:n]
+            if sk != 0.0:  # s / (1 + s lam) = 1 / (1/s + lam)
+                y -= correct(project(z) / (1.0 / sk + lam))
             u_prev, u = u, y
         u_avg[k] = c @ u
         if k in row:

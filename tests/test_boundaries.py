@@ -64,6 +64,8 @@ CASES = {
     "rhea-eta-inf": (march_with_eta, (inf,), "eta"),
     "spheroid-sample-n-nan": (ls.sample_spheroid_surface, (2, 1, nan), "n"),
     "cuboid-sample-n-inf": (ls.sample_cuboid_surface, (1, 1, 1, inf), "n"),
+    "spheroid-sample-n-fraction": (ls.sample_spheroid_surface, (2, 1, 2.5), "n"),
+    "cuboid-sample-n-fraction": (ls.sample_cuboid_surface, (1, 1, 1, 2.5), "n"),
     **{f"eta-profile-period-{v}": (series.eta_profile_stats,
                                    ([0, 1, 2], [1, 2, 1], True, v), "period")
        for v in (nan, inf)},

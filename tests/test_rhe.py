@@ -129,18 +129,18 @@ def test_time_dependent_constant_matches_autonomous(disk4, monkeypatch):
 
 
 @pytest.mark.parametrize("shape,level", [("disk", 3), ("square", 4)])
-@pytest.mark.parametrize("oscillating", [False, True],
-                         ids=["autonomous", "oscillating"])
-def test_dense_steps_match_sparse_steps(monkeypatch, shape, level,
-                                        oscillating):
+@pytest.mark.parametrize("schedule", ["autonomous", "oscillating", "switched"])
+def test_dense_steps_match_sparse_steps(monkeypatch, shape, level, schedule):
     m = mesh.generate_canonical(shape, level)
     f = fields_with_eta(m, "step")
     gs = mesh.geometry_stats(m)
     B = 0.05 * gs.gamma
     t_f = 1.0 / (B * gs.gamma)
     scale = None
-    if oscillating:
+    if schedule == "oscillating":
         scale = lambda t: 1.0 + 0.5 * np.sin(2 * np.pi * t / (0.1 * t_f))
+    elif schedule == "switched":  # uncorrected steps, then corrected ones
+        scale = lambda t: 1.0 if t < 0.5 * t_f else 1.5
     robin = rhe.RobinCoefficient(B, eta=f.eta, time_scale=scale)
     solve = lambda: rhe._march(m, f, robin, t_f, 400, 401)
     dense = solve()
@@ -407,6 +407,27 @@ def test_snapshot_budget(disk4):
     assert len(sol.snapshots) <= 20
     assert sol.snapshot_times[0] == 0.0
     assert abs(sol.snapshot_times[-1] - sol.times[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("steps", [2, 3, 7, 10, 1000, 1001])
+def test_snapshot_slots_fit_the_budget(steps):
+    for max_snapshots in [1, 2, 3, 4, 5, 9, 20, steps, steps + 1, steps + 5]:
+        slots = rhe._snapshot_slots(steps, max_snapshots)
+        assert 1 <= len(slots) <= max_snapshots
+        assert np.all(np.diff(slots) > 0)
+        assert slots[-1] == steps
+        assert slots[0] == (0 if max_snapshots > 1 else steps)
+    assert len(rhe._snapshot_slots(steps, 0)) == 0
+
+
+def test_single_snapshot_is_the_final_field(disk3):
+    f = uniform_fields(disk3)
+    robin = rhe.RobinCoefficient(0.1, eta=f.eta)
+    one = rhe.solve_rhea(disk3, f, robin, t_f=1.0, steps=10, max_snapshots=1)
+    every = rhe.solve_rhea(disk3, f, robin, t_f=1.0, steps=10,
+                           max_snapshots=11)
+    assert one.snapshot_times.tolist() == [1.0]
+    assert np.array_equal(one.snapshots, every.snapshots[-1:])
 
 
 def test_series_io(tmp_path, disk4):
