@@ -341,14 +341,16 @@ def lambda1_expansion_check(mesh: Mesh2D, fields: FieldSet,
 
     The fitted linear coefficient should match gamma and the negated
     quadratic one should match phi; the fit has no intercept because
-    lambda_1(0) = 0 exactly.
+    lambda_1(0) = 0 exactly.  A sample B > 0 makes A0 + B*A1 SPD.
     """
     from .eigen import generalized_eigs
-    from .fem import assemble_forms
+    from .fem import assemble_forms, factor_spd
     from .mesh import geometry_stats
     Bs = np.asarray(B_samples, dtype=float)
-    if Bs.size < 3:
-        raise ValueError("need at least 3 Biot samples")
+    if not (Bs.ndim == 1 and np.all(np.isfinite(Bs) & (Bs > 0))
+            and np.unique(Bs).size >= 3):
+        raise ValueError("B_samples must be finite and > 0, with at least "
+                         "3 distinct values")
     gamma = geometry_stats(mesh).gamma
     if Bs.max() > 0.1 * gamma:
         raise ValueError("samples must stay in the small-Biot regime")
@@ -356,7 +358,7 @@ def lambda1_expansion_check(mesh: Mesh2D, fields: FieldSet,
     lams = []
     for B in Bs:
         A = forms.A0 + B * forms.A1
-        lams.append(generalized_eigs(A, forms.M, 1)[0].value)
+        lams.append(generalized_eigs(A, forms.M, 1, factor_spd(A))[0].value)
     design = np.column_stack([Bs, Bs ** 2])
     coef, *_ = np.linalg.lstsq(design, np.asarray(lams), rcond=None)
     return float(coef[0]), float(-coef[1])

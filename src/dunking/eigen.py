@@ -3,25 +3,24 @@
 Two kinds of solves are needed:
 
 * the spectrum of ``(A0 + B*A1) v = lambda M v`` used for spectral
-  reconstruction of the transient average temperature, and
+  reconstruction of the transient average temperature and for the
+  small-Biot expansion check, and
 * the two constrained "stability" eigenvalues entering the computable
   upper bound for the lumping coefficient: the first volume-mean-zero
   eigenvalue ``mu`` of the stiffness form against the volume mass, and
   the first Steklov-type eigenvalue ``Lambda`` of the stiffness form
   against the boundary mass.
 
-Both go through one ARPACK call, ``scipy.sparse.linalg.eigsh`` in
-shift-invert mode.  Unconstrained problems shift slightly below the PSD
-spectrum and let scipy factor ``A - sigma*Mrhs``.  Mean-constrained
-problems shift by 0 and supply the inverse themselves: the pinned SPD
-factor that ``fem.factor_constrained`` builds maps x to the mean-zero u
-with ``A u + m c = x``, which is well defined although the stiffness alone
-is singular.  The caller (``budget.shape_constants``) factors once; mu,
-Lambda and every phi solve on the same mesh share it.
-Constrained solves use a Lanczos basis of ``max(2k+1, 8)`` vectors, capped
-at the rank the operator leaves (it annihilates the constants and, for the
-boundary mass, the interior nodes), and ARPACK stops at ``ARPACK_TOL``, not
-at machine precision: one pair converges within the first Lanczos pass.
+Both go through one ARPACK call, ``scipy.sparse.linalg.eigsh`` shift-inverted
+at 0 through a factor the caller gives, so ARPACK factors nothing itself:
+a ``fem.factor_spd`` factor of an SPD matrix, or the pinned factor of
+``fem.factor_constrained``, which maps x to the mean-zero u with
+``A u + m c = x`` although the stiffness alone is singular.  The caller
+(``budget.shape_constants``) factors once; mu, Lambda and every phi solve on
+the same mesh share it.  The Lanczos basis holds ``max(2k+1, 8)`` vectors,
+capped below the rank of the right-hand-side mass (the boundary mass
+annihilates the interior nodes), and ARPACK stops at ``ARPACK_TOL``, not at
+machine precision: one pair converges within the first Lanczos pass.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import ConstrainedOperator
+from .fem import ConstrainedOperator, _solve_spd
 
 
 @dataclass
@@ -51,67 +50,52 @@ class StabilityConstants:
 
 # ---------------------------------------------------------------- solvers
 
-RES_TOL = 1e-8  # relative residual bound; also rounds the Neumann zero mode
-# ARPACK's stopping tolerance (constrained solves): four orders below RES_TOL,
-# so every pair passes _check_residual with room to spare
+RES_TOL = 1e-8  # relative residual bound
+# ARPACK's stopping tolerance: four orders below RES_TOL, so every pair
+# passes _check_residual with room to spare
 ARPACK_TOL = 1e-12
 
 
 def generalized_eigs(A: sp.spmatrix, Mrhs: sp.spmatrix, k: int,
-                     constraint: ConstrainedOperator | None = None
+                     factor: ConstrainedOperator | spla.SuperLU
                      ) -> list[EigenPair]:
-    """k smallest eigenpairs of ``A v = lambda Mrhs v``.
-
-    With ``constraint`` given (A with a weight vector c, factored by
-    ``fem.factor_constrained``), the problem is restricted to the
-    subspace ``c . v = 0`` and each pair's residual, measured modulo the
-    constraint multiplier, must stay below ``RES_TOL``.  Returned vectors
-    are normalized in the Mrhs inner product (a seminorm when Mrhs is
-    singular) and pairs are sorted by nondecreasing value.
+    """k smallest eigenpairs of ``A v = lambda Mrhs v``, shift-inverted at 0
+    through ``factor``: ``fem.factor_spd(A)`` of an SPD A, or A with weights
+    c factored by ``fem.factor_constrained``, which restricts the problem to
+    ``c . v = 0``.  Each pair's residual, modulo the constraint multiplier
+    if any, must stay below ``RES_TOL``.  Vectors are normalized in the Mrhs
+    inner product (a seminorm when Mrhs is singular); pairs are sorted by
+    nondecreasing value.
     """
     n = A.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
-    rng = np.random.default_rng(20260815)
-    if constraint is None:
-        if k >= n:
-            raise ValueError(f"k={k} exceeds the available spectrum (n={n})")
-        # shift below the PSD spectrum so the factored matrix is definite
-        # even for the pure-Neumann case (lambda_1 = 0)
-        scale = A.diagonal().sum() / max(Mrhs.diagonal().sum(), np.finfo(float).tiny)
-        shift = dict(sigma=-1e-3 * max(scale, 1.0), v0=rng.standard_normal(n))
-        A = A.tocsc()
-        Mrhs = Mrhs.tocsc()
-    else:
-        if constraint.A is not A:
+    if isinstance(factor, ConstrainedOperator):
+        if factor.A is not A:
             raise ValueError("constraint was factored from another matrix")
-        # rows with any nonzero entry: the rank of the volume and boundary
-        # masses (block-diagonal SPD blocks)
-        rank = int(np.count_nonzero(np.diff(sp.csr_matrix(Mrhs).indptr)))
-        avail = min(n, rank) - 1
-        if k >= avail:
-            raise ValueError(
-                f"k={k} exceeds the available constrained spectrum ({avail})")
-
-        def solve(x):
-            return constraint.solve(x)[0]
-
-        # ARPACK needs k < ncv <= rank
-        shift = dict(sigma=0.0, v0=solve(Mrhs @ rng.standard_normal(n)),
-                     OPinv=spla.LinearOperator((n, n), matvec=solve,
-                                               dtype=float),
-                     ncv=min(avail, max(2 * k + 1, 8)), tol=ARPACK_TOL)
-    vals, vecs = spla.eigsh(A, k=k, M=Mrhs, which="LM", **shift)
+        c, solve = factor.c, lambda x: factor.solve(x)[0]
+    else:
+        c, solve = None, lambda x: _solve_spd(factor, x)
+    # rows with any nonzero entry: the rank of the volume and boundary
+    # masses (block-diagonal SPD blocks)
+    rank = int(np.count_nonzero(np.diff(sp.csr_matrix(Mrhs).indptr)))
+    avail = min(n, rank) - 1
+    if k >= avail:
+        raise ValueError(f"k={k} exceeds the available spectrum ({avail})")
+    rng = np.random.default_rng(20260815)
+    # ARPACK needs k < ncv < rank: a basis that spans the whole range of
+    # the shift-inverted operator breaks down
+    vals, vecs = spla.eigsh(
+        A, k=k, M=Mrhs, which="LM", sigma=0.0,
+        v0=solve(Mrhs @ rng.standard_normal(n)),
+        OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float),
+        ncv=min(avail, max(2 * k + 1, 8)), tol=ARPACK_TOL)
     pairs = []
     for idx in np.argsort(vals):
         v = vecs[:, idx]
         v = v / np.sqrt(float(v @ (Mrhs @ v)))
         lam = float(vals[idx])
-        if constraint is None:
-            if lam < 0 and abs(lam) < RES_TOL * max(1.0, abs(vals).max()):
-                lam = 0.0  # Neumann zero mode, rounded
-        else:
-            _check_residual(A, Mrhs, constraint.c, lam, v)
+        _check_residual(A, Mrhs, c, lam, v)
         pairs.append(EigenPair(lam, v))
     return pairs
 
@@ -120,7 +104,8 @@ def _check_residual(A, Mrhs, c, lam, v) -> None:
     Av = A @ v
     Mv = Mrhs @ v
     r = Av - lam * Mv
-    r -= c * (c @ r) / (c @ c)  # constraint multiplier direction
+    if c is not None:
+        r -= c * (c @ r) / (c @ c)  # constraint multiplier direction
     scale = np.linalg.norm(Av) + abs(lam) * np.linalg.norm(Mv)
     res = np.linalg.norm(r) / max(scale, np.finfo(float).tiny)
     if not res <= RES_TOL:
@@ -134,8 +119,8 @@ def constrained_stability(op: ConstrainedOperator, M: sp.spmatrix,
     """mu and Lambda of the factored constrained stiffness ``op`` against the
     volume mass M and the boundary mass A1, and the scale-invariant ratios
     gamma^2/mu and gamma/Lambda."""
-    mu = generalized_eigs(op.A, M, 1, constraint=op)[0].value
-    lam = generalized_eigs(op.A, A1, 1, constraint=op)[0].value
+    mu = generalized_eigs(op.A, M, 1, op)[0].value
+    lam = generalized_eigs(op.A, A1, 1, op)[0].value
     return StabilityConstants(mu=mu, lambda_steklov=lam,
                               gamma_sq_over_mu=gamma ** 2 / mu,
                               gamma_over_lambda=gamma / lam)

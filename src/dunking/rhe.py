@@ -166,7 +166,7 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
         raise ValueError("static eta must have perimeter mean 1")
     times = np.linspace(0.0, t_f, steps + 1)
     g = np.ones(steps + 1) if robin.time_scale is None else \
-        np.array([float(robin.time_scale(t)) for t in times])
+        np.array([float(robin.time_scale(t)) for t in times.tolist()])
     bad = np.flatnonzero(~(np.isfinite(g) & (g >= 0)))
     if bad.size:
         raise ValueError("time scale must be finite and nonnegative; "

@@ -22,6 +22,23 @@ def march_with_eta(value):
                           t_f=1.0, steps=2)
 
 
+def phi_with(name, value):
+    """solve_phi on the level-1 disk with one entry of a unit field replaced."""
+    m = mesh.generate_canonical("disk", 1)
+    f = fem.FieldSet.from_constants(m)
+    field = getattr(f, name).copy()
+    field.flat[0] = value
+    return budget.solve_phi(m, f.replace(**{name: field}))
+
+
+def expansion_check(*samples):
+    """lambda1_expansion_check on the level-1 disk, samples in units of gamma."""
+    m = mesh.generate_canonical("disk", 1)
+    gamma = mesh.geometry_stats(m).gamma
+    return budget.lambda1_expansion_check(m, fem.FieldSet.from_constants(m),
+                                          np.array(samples) * gamma)
+
+
 CASES = {
     "composite-fractions-nan": (budget.composite_sigma_variance, ([nan, 1], [1, 2]), "fractions"),
     "composite-fractions-inf": (budget.composite_sigma_variance, ([inf, 1], [1, 2]), "fractions"),
@@ -69,6 +86,16 @@ CASES = {
     **{f"eta-profile-period-{v}": (series.eta_profile_stats,
                                    ([0, 1, 2], [1, 2, 1], True, v), "period")
        for v in (nan, inf)},
+    **{f"phi-{name}-{v}": (phi_with, (name, v), name)
+       for name, bad in (("kappa", (nan, inf, 0.0, -1.0)),
+                         ("sigma", (nan, inf, 0.0, -1.0)),
+                         ("eta", (nan, inf, -1.0)))
+       for v in bad},
+    "expansion-B-nan": (expansion_check, (nan, 1e-4, 2e-4), "B_samples"),
+    "expansion-B-negative": (expansion_check, (-1e-3, 1e-4, 2e-4), "B_samples"),
+    "expansion-B-zero": (expansion_check, (0.0, 0.0, 0.0), "B_samples"),
+    "expansion-B-equal": (expansion_check, (1e-4, 1e-4, 1e-4), "B_samples"),
+    "expansion-B-two-distinct": (expansion_check, (1e-4, 1e-4, 2e-4), "B_samples"),
     "piecewise-mean-h-nan": (series.piecewise_linear_mean,
                              (np.array([1.0, nan]), np.ones(2), np.ones(2)), "h"),
 }

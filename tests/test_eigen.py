@@ -12,30 +12,30 @@ from dunking import budget, eigen, fem, mesh
 from conftest import uniform_fields
 
 
-def _dense_reference(m, k):
+def _spd_pencil(level):
+    """(A0 + A1, M) on the disk and a `factor_spd` factor of A0 + A1."""
+    m = mesh.generate_canonical("disk", level)
     forms = fem.assemble_forms(m, uniform_fields(m))
-    w, _ = sla.eigh(forms.A0.toarray(), forms.M.toarray())
-    return np.sort(w)[:k]
+    K = forms.A0 + forms.A1
+    return K, forms.M, fem.factor_spd(K)
 
 
 def test_generalized_eigs_match_dense():
-    m = mesh.generate_canonical("disk", 3)
-    forms = fem.assemble_forms(m, uniform_fields(m))
-    pairs = eigen.generalized_eigs(forms.A0, forms.M, 8)
-    ref = _dense_reference(m, 8)
+    K, M, lu = _spd_pencil(3)
+    pairs = eigen.generalized_eigs(K, M, 8, lu)
+    ref = sla.eigh(K.toarray(), M.toarray(), eigvals_only=True)[:8]
     got = np.array([p.value for p in pairs])
-    assert np.allclose(got, ref, rtol=1e-8, atol=1e-10)
+    assert np.allclose(got, ref, rtol=1e-8, atol=0.0)
 
 
 def test_eigenvectors_mass_orthonormal():
-    m = mesh.generate_canonical("disk", 3)
-    forms = fem.assemble_forms(m, uniform_fields(m))
-    pairs = eigen.generalized_eigs(forms.A0, forms.M, 6)
+    K, M, lu = _spd_pencil(3)
+    pairs = eigen.generalized_eigs(K, M, 6, lu)
     V = np.column_stack([p.vector for p in pairs])
-    G = V.T @ (forms.M @ V)
+    G = V.T @ (M @ V)
     assert np.max(np.abs(G - np.eye(6))) < 1e-8
     for p in pairs:
-        r = forms.A0 @ p.vector - p.value * (forms.M @ p.vector)
+        r = K @ p.vector - p.value * (M @ p.vector)
         assert np.linalg.norm(r) < 1e-7 * max(1.0, abs(p.value))
 
 
@@ -43,7 +43,7 @@ def test_constrained_eigs_skip_the_constant():
     m = mesh.generate_canonical("square", 3)
     forms = fem.assemble_forms(m, uniform_fields(m))
     op = fem.factor_constrained(forms.A0, forms.c)
-    pairs = eigen.generalized_eigs(forms.A0, forms.M, 3, constraint=op)
+    pairs = eigen.generalized_eigs(forms.A0, forms.M, 3, op)
     # with the mean-zero constraint the zero eigenvalue disappears
     assert pairs[0].value > 1.0
     for p in pairs:
@@ -79,13 +79,6 @@ def test_stability_constants_square(square4):
     assert abs(sc.gamma_sq_over_mu - 1.6211389) < 0.02
 
 
-def test_more_pairs_than_rank_rejected():
-    m = mesh.generate_canonical("disk", 1)
-    forms = fem.assemble_forms(m, uniform_fields(m))
-    with pytest.raises(ValueError):
-        eigen.generalized_eigs(forms.A0, forms.M, forms.M.shape[0] + 5)
-
-
 def _constrained_dense(forms, Mrhs, k):
     # the pencil restricted to an orthonormal basis Q of c-perp; there A0 is
     # definite, so the singular boundary mass is taken as the inverse pencil
@@ -116,7 +109,7 @@ def test_constrained_eigs_match_dense_on_c_perp(level3_operators, shape, k,
                                                 rtol, rhs):
     forms, op = level3_operators[shape]
     Mrhs = getattr(forms, rhs)
-    pairs = eigen.generalized_eigs(forms.A0, Mrhs, k, constraint=op)
+    pairs = eigen.generalized_eigs(forms.A0, Mrhs, k, op)
     got = np.array([p.value for p in pairs])
     assert np.allclose(got, _constrained_dense(forms, Mrhs, k), rtol=rtol,
                        atol=0.0)
@@ -139,8 +132,7 @@ def test_constrained_first_pair_solve_count(level3_operators, shape, rhs):
     # count includes the starting-vector solve
     forms, op = level3_operators[shape]
     counted = dataclasses.replace(op, lu=_CountingLU(op.lu))
-    eigen.generalized_eigs(forms.A0, getattr(forms, rhs), 1,
-                           constraint=counted)
+    eigen.generalized_eigs(forms.A0, getattr(forms, rhs), 1, counted)
     assert 0 < counted.lu.solves <= 20
 
 
@@ -153,19 +145,26 @@ def test_constrained_first_pair_on_coarse_meshes(shape, levels):
     forms = fem.assemble_forms(m, uniform_fields(m))
     op = fem.factor_constrained(forms.A0, forms.c)
     for Mrhs in (forms.M, forms.A1):
-        pair, = eigen.generalized_eigs(forms.A0, Mrhs, 1, constraint=op)
+        pair, = eigen.generalized_eigs(forms.A0, Mrhs, 1, op)
         assert pair.value > 0
         assert abs(forms.c @ pair.vector) < 1e-8
 
 
-def test_constrained_k_at_available_spectrum_rejected():
+@pytest.mark.parametrize("kind", ["constrained", "spd"])
+def test_k_at_available_spectrum_rejected(kind):
+    # the boundary mass has rank nb (one per boundary node); ARPACK's
+    # basis must stay below it
     m = mesh.generate_canonical("disk", 1)
     forms = fem.assemble_forms(m, uniform_fields(m))
-    op = fem.factor_constrained(forms.A0, forms.c)
+    if kind == "constrained":
+        A, factor = forms.A0, fem.factor_constrained(forms.A0, forms.c)
+    else:
+        A = forms.A0 + forms.A1
+        factor = fem.factor_spd(A)
     avail = min(forms.n, m.num_boundary_edges) - 1
-    with pytest.raises(ValueError, match="constrained spectrum"):
-        eigen.generalized_eigs(forms.A0, forms.A1, avail, constraint=op)
-    eigen.generalized_eigs(forms.A0, forms.A1, avail - 1, constraint=op)
+    with pytest.raises(ValueError, match="available spectrum"):
+        eigen.generalized_eigs(A, forms.A1, avail, factor)
+    eigen.generalized_eigs(A, forms.A1, avail - 1, factor)
 
 
 @pytest.fixture(scope="module")

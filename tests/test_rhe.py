@@ -4,6 +4,7 @@ import functools
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._eigen.arpack import arpack
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
@@ -184,6 +185,8 @@ def test_every_factorization_uses_the_spd_recipe(monkeypatch, disk3):
         return splu(A, **kw)
 
     monkeypatch.setattr(spla, "splu", recording)
+    # ARPACK imported splu by name, for the shift-inverts it factors itself
+    monkeypatch.setattr(arpack, "splu", recording)
     budget.shape_constants(disk3, [])
     f = fields_with_eta(disk3, "step")
     robin = rhe.RobinCoefficient(0.1, eta=f.eta)
@@ -193,8 +196,11 @@ def test_every_factorization_uses_the_spd_recipe(monkeypatch, disk3):
         monkeypatch.setattr(rhe, "DENSE_BUDGET", limit)
         rhe.solve_rhea(disk3, f, robin, t_f=1.0, steps=10)
         rhe.solve_rhe_timedep(disk3, f, varying, t_f=1.0, steps=10)
-    # the constrained factor, then two per march
-    assert len(calls) == 1 + 4 * 2
+    gamma = mesh.geometry_stats(disk3).gamma
+    budget.lambda1_expansion_check(disk3, uniform_fields(disk3),
+                                   np.array([1.0, 2.0, 4.0]) * 1e-3 * gamma)
+    # the constrained factor, two per march, then one per Biot sample
+    assert len(calls) == 1 + 4 * 2 + 3
     recipe = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   relax=1, panel_size=1, options={"SymmetricMode": True})
     assert calls == [recipe] * len(calls)
@@ -454,7 +460,7 @@ def test_spectral_reconstruction_matches_stepper(disk4):
     B = 1e-2 * gs.gamma
     forms = fem.assemble_forms(disk4, f)
     K = forms.A0 + B * fem.boundary_mass(disk4, f.eta)
-    pairs = eigen.generalized_eigs(K, forms.M, 25)
+    pairs = eigen.generalized_eigs(K, forms.M, 25, fem.factor_spd(K))
     sol = rhe.solve_rhea(disk4, f, rhe.RobinCoefficient(B, eta=f.eta))
     late = sol.times >= 0.01
     rec = rhe.spectral_reconstruction(pairs, forms.c, sol.times[late])
@@ -467,7 +473,7 @@ def test_spectral_mass_grows_with_pairs(disk4):
     gs = mesh.geometry_stats(disk4)
     forms = fem.assemble_forms(disk4, f)
     K = forms.A0 + 0.02 * gs.gamma * fem.boundary_mass(disk4, f.eta)
-    pairs = eigen.generalized_eigs(K, forms.M, 12)
+    pairs = eigen.generalized_eigs(K, forms.M, 12, fem.factor_spd(K))
     m1 = rhe.spectral_reconstruction(pairs[:4], forms.c, [0.0]).mass
     m2 = rhe.spectral_reconstruction(pairs, forms.c, [0.0]).mass
     assert 0.0 < m1 <= m2 <= 1.0 + 1e-12
