@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh2D, _edge_keys, _triangle_edges, geometry_stats
+from .mesh import Mesh2D, _edge_table, _triangle_edges, geometry_stats
 from .series import piecewise_linear_mean, piecewise_linear_variance
 
 ETA_VARIATIONS = ("constant", "linear", "sinusoidal", "step")
@@ -223,7 +223,7 @@ def _p1_pattern(t: np.ndarray, nv: int):
     entries (nv,) and of the upper (lo, hi) and lower (hi, lo) entries of
     each unique edge.
     """
-    ukeys, edge = np.unique(_edge_keys(_triangle_edges(t), nv), return_inverse=True)
+    ukeys, edge = _edge_table(_triangle_edges(t), nv)
     lo, hi = np.divmod(ukeys, nv)
     del ukeys
     n_upper = np.bincount(lo, minlength=nv)  # per row, right of the diagonal

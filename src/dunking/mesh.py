@@ -117,14 +117,12 @@ class Mesh2D:
             raise ValueError(
                 f"triangle {bad} is degenerate or negatively oriented (area {areas[bad]:g})"
             )
-        # boundary_edges must be exactly the edges incident to a single
-        # triangle, each listed once (in either orientation)
-        keys = np.sort(_edge_keys(_triangle_edges(self.triangles), nv))
-        single = np.ones(keys.shape[0] + 1, dtype=bool)
-        single[1:-1] = keys[1:] != keys[:-1]
-        want = keys[single[:-1] & single[1:]]  # keys that occur exactly once
-        got = np.sort(_edge_keys(self.boundary_edges, nv))
-        if not np.array_equal(got, want):
+        # a value sort: the argsort of `_edge_table`'s inverse raised `tables`' peak RSS
+        keys, counts = np.unique(_edge_keys(_triangle_edges(self.triangles), nv),
+                                 return_counts=True)
+        # exactly the single-owner edges, each once, in either orientation
+        if not np.array_equal(np.sort(_edge_keys(self.boundary_edges, nv)),
+                              keys[counts == 1]):
             raise ValueError("boundary_edges do not match the edges incident to one triangle")
         if self.tri_regions.shape != (self.num_triangles,):
             raise ValueError("tri_regions must have one tag per triangle")
@@ -205,11 +203,16 @@ def _triangle_edges(triangles: np.ndarray) -> np.ndarray:
     )
 
 
+def _edge_table(edges: np.ndarray, nv: int):
+    """The sorted unique keys of directed edges and each edge's index among
+    them; `np.bincount` of the index counts the triangles sharing each."""
+    return np.unique(_edge_keys(edges, nv), return_inverse=True)
+
+
 def _extract_boundary_edges(triangles: np.ndarray, nv: int) -> np.ndarray:
     edges = _triangle_edges(triangles)
-    _, inv, counts = np.unique(_edge_keys(edges, nv), return_inverse=True, return_counts=True)
-    # keep original orientation of the single-owner edges
-    return edges[counts[inv] == 1]
+    _, edge = _edge_table(edges, nv)
+    return edges[np.bincount(edge)[edge] == 1]  # single-owner, as oriented
 
 
 def _check_connected(triangles: np.ndarray, nv: int) -> None:
@@ -340,10 +343,19 @@ def refine(mesh: Mesh2D, times: int = 1) -> Mesh2D:
         raise ValueError("times must be >= 0")
     if times == 0:
         return mesh
-    p, t = mesh.vertices, mesh.triangles
-    bpos, tags = _boundary_positions(mesh)
-    for _ in range(times):
-        p, t, bpos, order = _refine_arrays(p, t, bpos, mesh.boundary_projector)
+    p, t, nv = mesh.vertices, mesh.triangles, mesh.num_vertices
+    keys, edge = _edge_table(_triangle_edges(t), nv)
+    # the boundary edges' positions among the directed edges, ascending (as
+    # `_extract_boundary_edges` returns them), and their tags, matched by key
+    bpos = np.flatnonzero(np.bincount(edge)[edge] == 1)
+    tags = np.empty(keys.shape[0], dtype=mesh.edge_tags.dtype)
+    tags[np.searchsorted(keys, _edge_keys(mesh.boundary_edges, nv))] = mesh.edge_tags
+    tags = tags[edge[bpos]]
+    for level in range(times):
+        if level:  # the first level's table is the mesh's, from above
+            keys, edge = _edge_table(_triangle_edges(t), p.shape[0])
+        p, t, bpos, order = _refine_arrays(p, t, bpos, keys, edge, mesh.boundary_projector)
+        del keys, edge  # freed before the next level's
         tags = np.concatenate([tags, tags])[order]
     block, tri = np.divmod(bpos, t.shape[0])
     bedges = np.column_stack([t[tri, block], t[tri, (block + 1) % 3]])
@@ -351,38 +363,24 @@ def refine(mesh: Mesh2D, times: int = 1) -> Mesh2D:
                   mesh.boundary_projector)
 
 
-def _boundary_positions(mesh: Mesh2D):
-    """Positions of the boundary edges among `_triangle_edges(triangles)`,
-    ascending (the order `_extract_boundary_edges` returns them in), and
-    their tags, matched by edge key."""
-    nv = mesh.num_vertices
-    keys = _edge_keys(_triangle_edges(mesh.triangles), nv)
-    bkeys = _edge_keys(mesh.boundary_edges, nv)
-    order = np.argsort(bkeys)
-    idx = np.minimum(np.searchsorted(bkeys[order], keys), bkeys.shape[0] - 1)
-    bpos = np.flatnonzero(bkeys[order[idx]] == keys)
-    return bpos, mesh.edge_tags[order[idx[bpos]]]
-
-
-def _refine_arrays(p, t, bpos, projector):
+def _refine_arrays(p, t, bpos, ukeys, inv, projector):
     """One red refinement step on arrays.
 
     `bpos` holds the positions of the boundary edges among the directed
-    edges `_triangle_edges(t)`, ascending.  Returns the refined vertices
+    edges `_triangle_edges(t)`, ascending; `ukeys` and `inv` are the keys
+    and edge index of their `_edge_table`.  Returns the refined vertices
     and triangles, the positions of the refined boundary edges, and the
     order that takes the children (first halves of all parent edges, then
     second halves) to those positions.
     """
     nv, nt = p.shape[0], t.shape[0]
-    ukeys, inv = np.unique(_edge_keys(_triangle_edges(t), nv), return_inverse=True)
     lo, hi = np.divmod(ukeys, nv)
     midpoints = 0.5 * (p[lo] + p[hi])
 
     # project midpoints of *boundary* edges onto the curved boundary
     if projector is not None:
-        is_bnd = np.zeros(ukeys.shape[0], dtype=bool)
-        is_bnd[inv[bpos]] = True
-        midpoints[is_bnd] = projector(midpoints[is_bnd])
+        bnd = inv[bpos]  # distinct: a boundary edge has one directed edge
+        midpoints[bnd] = projector(midpoints[bnd])
 
     newverts = np.vstack([p, midpoints])
     mid = inv + nv

@@ -31,8 +31,7 @@ class NusseltSeries:
     length_scale: str | None = None
 
     def __post_init__(self):
-        # C order: the window averages of steady_state_detect would copy a
-        # strided column on every np.interp and searchsorted call
+        # C order: steady_state_detect walks each column whole
         self.times = np.asarray(self.times, dtype=float, order="C")
         self.nu_avg = np.asarray(self.nu_avg, dtype=float, order="C")
         if self.times.ndim != 1 or self.times.shape != self.nu_avg.shape:
@@ -167,16 +166,18 @@ class SteadyStateReport:
     threshold: float
 
 
-def _window_average(times, values, t0, t1):
-    """Trapezoid of the piecewise-linear series over [t0, t1]."""
-    lo = np.interp(t0, times, values)
-    hi = np.interp(t1, times, values)
-    # the samples strictly inside (t0, t1)
-    inside = slice(np.searchsorted(times, t0, "right"),
-                   np.searchsorted(times, t1, "left"))
-    ts = np.concatenate([[t0], times[inside], [t1]])
-    vs = np.concatenate([[lo], values[inside], [hi]])
-    return float(np.trapezoid(vs, ts) / (t1 - t0))
+def _window_averages(times, values, t0, t1):
+    """Means over the windows [t0, t1] of the piecewise-linear series, held
+    at its end values outside the samples, as differences of one cumulative
+    trapezoid closed by the partial segment up to each end."""
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1])
+                                           * np.diff(times))])
+
+    def integral(x):
+        j = np.clip(np.searchsorted(times, x, "right") - 1, 0, len(times) - 1)
+        return cum[j] + (x - times[j]) * 0.5 * (values[j] + np.interp(x, times, values))
+
+    return (integral(t1) - integral(t0)) / (t1 - t0)
 
 
 def steady_state_detect(series: NusseltSeries, St: float = 0.2,
@@ -212,10 +213,9 @@ def steady_state_detect(series: NusseltSeries, St: float = 0.2,
         raise ValueError(f"the window schedule has more than {MAX_WINDOWS} "
                          "windows; use a larger step_size")
     count = np.argmin(inside)  # the first window that ends past the series
-    k, ends = k[:count], ends[:count]
+    k, ends = k[:count].copy(), ends[:count].copy()  # copies: the unused schedule is freed
     widths = (initial_window + k * growth) * t_vs
-    avg = np.array([_window_average(series.times, series.nu_avg, e - w, e)
-                    for e, w in zip(ends, widths)])
+    avg = _window_averages(series.times, series.nu_avg, ends - widths, ends)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(np.diff(avg)) / np.abs(avg[:-1])
     crit = np.full(len(k), np.nan)

@@ -106,3 +106,33 @@ def test_bad_argument_is_named(case):
     func, args, name = CASES[case]
     with pytest.raises(ValueError, match=f"^{name} .*finite"):
         func(*args)
+
+
+def march_on_disk1(B, t_f, scale=None, steps=2000):
+    m = mesh.generate_canonical("disk", 1)
+    f = fem.FieldSet.from_constants(m)
+    robin = rhe.RobinCoefficient(B, eta=f.eta, time_scale=scale)
+    return rhe._march(m, f, robin, t_f, steps, 0)
+
+
+# On this disk (an octagon, gamma = 2.17) the field falls to 5e-291 by
+# t_f = 3000 at B = 0.1 and underflows by 5000.  B = 0 at t_f = 1e300
+# leaves the exact mean 1 at 0: 1.5 M/dt vanishes beside A0 in K1.
+@pytest.mark.parametrize("B,t_f,scale,steps", [
+    (0.1, 5000.0, None, 2000), (0.1, 2500.0, lambda t: 2.0, 2000),
+    (1e-3, 1e6, None, 2000), (0.1, 1e300, None, 20), (0.0, 1e300, None, 2000),
+], ids=["B-0.1", "g-2", "B-1e-3", "t_f-1e300", "B-0-t_f-1e300"])
+def test_march_refuses_a_field_that_underflows(B, t_f, scale, steps):
+    with pytest.raises(ValueError, match=r"^t_f = .* at B = .*underflows"):
+        march_on_disk1(B, t_f, scale, steps)
+
+
+# B gamma t_f = 866 at B = 100, t_f = 4, but lambda_1 stays below the
+# Dirichlet limit (near j_01^2 = 5.78), so the field stays above 1e-13
+@pytest.mark.parametrize("B,t_f,scale", [
+    (100.0, 4.0, None), (0.1, 3000.0, None), (0.1, 5000.0, lambda t: 0.5),
+    (0.0, 1000.0, None), (0.0, 1000.0, lambda t: 1e300),
+], ids=["B-100", "B-0.1", "g-0.5", "B-0", "B-0-g-1e300"])
+def test_march_accepts_a_field_that_does_not_underflow(B, t_f, scale):
+    u_avg = march_on_disk1(B, t_f, scale).u_avg
+    assert u_avg[-1] >= np.finfo(float).tiny

@@ -978,6 +978,16 @@ def test_nonfinite_biot_is_config_error(tmp_path, capsys):
     assert not (out / "rhe_series.csv").exists()
 
 
+def test_rhe_refuses_a_t_f_at_which_the_field_underflows(tmp_path, capsys):
+    code, _ = run(tmp_path, "rhe", "--shape", "disk", "--levels", "2",
+                  "--B", "0.1", "--t-f", "1e300")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_f = 1e+300 at B = 0.1: ") and \
+        "underflows" in err, err
+    assert list(tmp_path.iterdir()) == []  # no manifest, no CSV
+
+
 def test_rhe_rejects_zero_snapshots_before_solving(tmp_path, capsys):
     code, out = run(tmp_path, "rhe", "--shape", "square", "--levels", "3",
                     "--B", "0.04", "--max-snapshots", "0")

@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, strategies as st
 
-from dunking import mesh
+from dunking import fem, mesh
 
 from conftest import array_digest
 
@@ -278,6 +279,63 @@ def test_edge_keys_match_rowwise_reference(shape, level, seed):
     assert np.array_equal(fine.vertices, verts)
     assert np.array_equal(fine.triangles, tris)
     assert np.array_equal(fine.boundary_edges, bedges)
+
+
+def _grown_cells(moves):
+    """Grid cells grown from (0, 0): each move steps from an earlier cell
+    to a side neighbour, so the union is edge-connected."""
+    cells = [(0, 0)]
+    for pick, side in moves:
+        i, j = cells[pick % len(cells)]
+        di, dj = ((1, 0), (0, 1), (-1, 0), (0, -1))[side]
+        if (i + di, j + dj) not in cells:
+            cells.append((i + di, j + dj))
+    return cells
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=40),
+       st.integers(0, 2**32 - 1))
+def test_edge_table_matches_rowwise_reference(moves, seed):
+    m = _relabelled(mesh._cell_grid_mesh(_grown_cells(moves), (0.0, 0.0), 1.0), seed)
+    nv, t = m.num_vertices, m.triangles
+    keys, edge = mesh._edge_table(mesh._triangle_edges(t), nv)
+    assert np.all(np.diff(keys) > 0)
+    assert np.array_equal(keys[edge], mesh._edge_keys(mesh._triangle_edges(t), nv))
+    single = np.sort(_ref_extract_boundary_edges(t), axis=1)
+    assert np.array_equal(np.column_stack(np.divmod(keys[np.bincount(edge) == 1], nv)),
+                          single[np.lexsort(single.T[::-1])])
+    # the pattern scipy gives the summed element matrices, sorted columns
+    t32 = t.astype(np.int32)
+    ref = sp.coo_matrix((np.ones(9 * len(t)), (np.repeat(t32, 3, axis=1).ravel(),
+                                               np.tile(t32, (1, 3)).ravel())),
+                        shape=(nv, nv)).tocsr()
+    ref.sort_indices()
+    indptr, indices = fem._p1_pattern(t, nv)[:2]
+    assert np.array_equal(indptr, ref.indptr) and indptr.dtype == ref.indptr.dtype
+    assert np.array_equal(indices, ref.indices) and indices.dtype == ref.indices.dtype
+
+
+def test_edge_keys_are_sorted_once_per_consumer(monkeypatch):
+    m = mesh.generate_canonical("disk", 3)
+    f = fem.FieldSet.from_constants(m)
+    calls = []
+    table = mesh._edge_table
+
+    def counted(edges, nv):
+        calls.append(len(edges))
+        return table(edges, nv)
+
+    monkeypatch.setattr(mesh, "_edge_table", counted)
+    monkeypatch.setattr(fem, "_edge_table", counted)
+    fem.assemble_forms(m, f)
+    fem.mass_matrix(m, f.sigma)
+    fem.eta_variation(m, "step")
+    assert calls == [3 * m.num_triangles] * 2  # one per P1 pattern
+    calls.clear()
+    mesh.refine(m, 2)
+    # one per level, the first shared with the boundary positions; the
+    # child's validate counts its edges without the inverse
+    assert calls == [3 * m.num_triangles * 4 ** k for k in range(2)]
 
 
 def _containing_edge_tags(base, m):

@@ -496,6 +496,31 @@ def test_coefficient_of_variation(disk4):
     assert np.isnan(rhe.coefficient_of_variation(fake, disk4)[0])
 
 
+def _two_pass_cv(m, u):
+    """sqrt(int (u - u_m)^2 / |Omega|) / u_m, summed triangle by triangle:
+    int_T f^2 = |T| (sum f_i^2 + sum_{i<j} f_i f_j) / 6 for linear f."""
+    a = m.triangle_areas()
+    v = u[m.triangles]
+    mean = (a @ v.sum(axis=1)) / (3.0 * a.sum())
+    d = v - mean
+    sq = (d * d).sum(axis=1) + (d * np.roll(d, 1, axis=1)).sum(axis=1)
+    return np.sqrt((a @ sq) / (6.0 * a.sum())) / mean
+
+
+@pytest.mark.parametrize("shape,level", [("disk", 3), ("disk", 4), ("square", 3)])
+@pytest.mark.parametrize("B", [1e-6, 1e-8])
+def test_coefficient_of_variation_at_small_biot(shape, level, B):
+    """The one-pass int u^2 - u_m^2 cancels for these near-uniform fields
+    (0 instead of 1.4e-9 on the level-4 disk at B = 1e-8)."""
+    m = mesh.generate_canonical(shape, level)
+    f = uniform_fields(m)
+    sol = rhe.solve_rhea(m, f, rhe.RobinCoefficient(B, eta=f.eta))
+    cv = rhe.coefficient_of_variation(sol, m)
+    ref = np.array([_two_pass_cv(m, u) for u in sol.snapshots])
+    assert cv[0] < 1e-12
+    assert np.allclose(cv[1:], ref[1:], rtol=1e-6, atol=0)
+
+
 def test_coefficient_of_variation_reuses_the_unit_mass_matrix(disk4):
     f = uniform_fields(disk4)
     robin = rhe.RobinCoefficient(0.1, eta=f.eta)

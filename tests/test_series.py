@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dunking import series
 
@@ -164,10 +164,20 @@ def test_detection_accepts_zero_growth_and_activation():
     assert abs(rep.t_f - 7.0 * t_vs) < 1e-9 * t_vs   # k = 4: fifth window
 
 
+def _cumsum_error_bound(times, values, t0, t1):
+    """Bound on the rounding error of window means taken as differences of
+    a cumulative trapezoid: len(times) eps times the largest |integral|,
+    over the window width."""
+    lo = np.min(t0, initial=times[0])
+    hi = np.max(t1, initial=times[-1])
+    return (len(times) * np.finfo(float).eps * np.abs(values).max() * (hi - lo)
+            / (t1 - t0))
+
+
 def _loop_history(ser, St=0.2, initial_window=5.0, step_size=0.5,
                   growth=0.05, activation=7.5, threshold=1.0e-3):
     """The one-window-at-a-time loop steady_state_detect replaced: its
-    history, kept as the reference."""
+    history, kept as the reference, each window summed on its own."""
     _, t_vs = series.vortex_frequency(St, ser.r1, ser.r2, ser.Re, ser.Pr)
     t_end = ser.times[-1]
     hist, averages, k = [], [], 0
@@ -176,7 +186,7 @@ def _loop_history(ser, St=0.2, initial_window=5.0, step_size=0.5,
         width = (initial_window + k * growth) * t_vs
         if window_end > t_end + 1e-12 * max(t_end, 1.0):
             break
-        avg = series._window_average(ser.times, ser.nu_avg,
+        avg = _masked_window_average(ser.times, ser.nu_avg,
                                      window_end - width, window_end)
         averages.append(avg)
         crit = math.nan
@@ -208,10 +218,23 @@ def test_history_matches_window_loop(kind, seed, periods, **schedule):
     ser = series.NusseltSeries(t, nu, **META)
     rep = series.steady_state_detect(ser, **schedule)
     hist = _loop_history(ser, **schedule)
-    assert np.array_equal(rep.history, hist, equal_nan=True)
+    # the averages agree to the cumulative sum's rounding; a criterion
+    # moves by at most three times their relative error, so only a
+    # criterion that close to the threshold could stop the two apart
+    rel = (_cumsum_error_bound(t, nu, hist[:, 1] - hist[:, 2], hist[:, 1])
+           / np.abs(hist[:, 3]))
+    assume(not np.any(np.abs(hist[:, 4] - schedule["threshold"]) <= 3 * rel.max(initial=0)))
+    assert rep.history.shape == hist.shape
+    assert np.array_equal(rep.history[:, :3], hist[:, :3])
+    assert np.all(np.abs(rep.history[:, 3] - hist[:, 3]) <= rel * np.abs(hist[:, 3]))
+    crit, ref = rep.history[:, 4], hist[:, 4]
+    assert np.array_equal(np.isnan(crit), np.isnan(ref))
+    armed = ~np.isnan(ref)
+    assert np.all(np.abs(crit[armed] - ref[armed]) <= 3 * rel.max(initial=0))
     assert rep.converged == (len(hist) > 0 and hist[-1, 4] < schedule["threshold"])
     if rep.converged:
-        assert (rep.t_f, rep.nu_stavg) == (hist[-1, 1], hist[-1, 3])
+        assert rep.t_f == hist[-1, 1]
+        assert abs(rep.nu_stavg - hist[-1, 3]) <= rel[-1] * abs(hist[-1, 3])
 
 
 def test_window_schedule_is_capped(monkeypatch):
@@ -237,7 +260,8 @@ def test_zero_window_average_is_numeric_error():
 
 
 def _masked_window_average(times, values, t0, t1):
-    # the full-series mask the slice bounds replace
+    """Trapezoid of the piecewise-linear series over [t0, t1], its end
+    values continued outside the samples, over t1 - t0."""
     inside = (times > t0) & (times < t1)
     ts = np.concatenate([[t0], times[inside], [t1]])
     vs = np.concatenate([[np.interp(t0, times, values)], values[inside],
@@ -250,10 +274,12 @@ def test_window_average_matches_masked_reference(rng):
     values = rng.normal(5.0, 1.0, 200)
     # window ends on samples, between samples and beyond both ends
     ends = np.concatenate([times[[0, 5, 50, 199]], rng.uniform(-5, 120, 40)])
-    for t0 in ends:
-        for t1 in ends[ends > t0]:
-            assert (series._window_average(times, values, t0, t1)
-                    == _masked_window_average(times, values, t0, t1))
+    t0, t1 = (a.ravel() for a in np.meshgrid(ends, ends))
+    t0, t1 = t0[t0 < t1], t1[t0 < t1]
+    got = series._window_averages(times, values, t0, t1)
+    ref = np.array([_masked_window_average(times, values, a, b)
+                    for a, b in zip(t0, t1)])
+    assert np.all(np.abs(got - ref) <= _cumsum_error_bound(times, values, t0, t1))
 
 
 def test_detection_requires_metadata():
