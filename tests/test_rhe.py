@@ -3,12 +3,13 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg._eigen.arpack import arpack
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from dunking import budget, eigen, fem, mesh, rhe
+from dunking import budget, cli, eigen, fem, mesh, rhe
 
 from conftest import fields_with_eta, uniform_fields
 
@@ -199,8 +200,10 @@ def test_every_factorization_uses_the_spd_recipe(monkeypatch, disk3):
     gamma = mesh.geometry_stats(disk3).gamma
     budget.lambda1_expansion_check(disk3, uniform_fields(disk3),
                                    np.array([1.0, 2.0, 4.0]) * 1e-3 * gamma)
-    # the constrained factor, two per march, then one per Biot sample
-    assert len(calls) == 1 + 4 * 2 + 3
+    # the constrained factor; K1 alone for an autonomous march (the Lanczos
+    # evaluation), K1 and the startup matrix for a time-dependent one; then
+    # one per Biot sample
+    assert len(calls) == 1 + 2 * (1 + 2) + 3
     recipe = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   relax=1, panel_size=1, options={"SymmetricMode": True})
     assert calls == [recipe] * len(calls)
@@ -347,6 +350,119 @@ def test_oscillating_conductance_reduces_with_period(disk4):
                              t_f=t_f, steps=steps)
         gaps.append(np.max(np.abs(sol.u_avg - ref.u_avg)))
     assert gaps[1] < gaps[0]
+
+
+def _modes(m, f, B):
+    """The dense generalized eigenpairs K x = lam M x, K = A0 + B A1, with x
+    M-orthonormal (scipy.linalg.eigh), and X^T M 1 and |Omega|."""
+    forms = fem.assemble_forms(m, f)
+    lam, X = sla.eigh((forms.A0 + B * forms.A1).toarray(), forms.M.toarray())
+    return lam, X, X.T @ forms.c, forms.c.sum()
+
+
+def _exact_bdf2(modes, t_f, steps, slots):
+    """u_avg at every step and the fields at the slots of BDF2 after one
+    backward-Euler step, marched mode by mode: with a = 1/(1.5 + lam dt),
+    p_0 = 1, p_1 = 1/(1 + lam dt), p_{k+1} = a (2 p_k - p_{k-1}/2), and
+    u_k = X (X^T M 1 * p_k)."""
+    lam, X, coef, area = modes
+    dt = t_f / steps
+    a = 1.0 / (1.5 + lam * dt)
+    p_prev, p = np.ones_like(lam), 1.0 / (1.0 + lam * dt)
+    u_avg = [1.0, coef ** 2 @ p / area]
+    snaps = {0: np.ones(len(lam)), 1: X @ (coef * p)}
+    for k in range(2, steps + 1):
+        p_prev, p = p, a * (2.0 * p - 0.5 * p_prev)
+        u_avg.append(coef ** 2 @ p / area)
+        if k in slots:
+            snaps[k] = X @ (coef * p)
+    return np.array(u_avg), np.array([snaps[k] for k in slots])
+
+
+def _assert_matches_exact_bdf2(m, f, B, modes, t_f, steps):
+    sol = rhe.solve_rhea(m, f, rhe.RobinCoefficient(B, eta=f.eta), t_f=t_f,
+                         steps=steps)
+    slots = rhe._snapshot_slots(steps, 200).tolist()
+    u_avg, snaps = _exact_bdf2(modes, t_f, steps, slots)
+    assert sol.krylov_dim is not None
+    where = (B, steps, sol.krylov_dim)
+    assert np.max(np.abs(sol.u_avg - u_avg)) <= 1e-11, where
+    assert np.max(np.abs(sol.snapshots - snaps)) <= 1e-11, where
+    return sol
+
+
+@pytest.mark.parametrize("shape", ["disk", "square", "cross"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_autonomous_march_matches_exact_bdf2(shape, level):
+    """The Lanczos evaluation against BDF2 marched exactly in the dense
+    eigenbasis, at every step and every snapshot (every step up to 199
+    steps, then 200 of them), t_f = 1.  The level-4 cross, whose dense
+    eigensolve takes ~0.8 s, runs at B = 1 only.  At level 3 a step eta
+    runs too (the level-3 cross then takes 116 and 120 vectors)."""
+    m = mesh.generate_canonical(shape, level)
+    gamma = mesh.geometry_stats(m).gamma
+    cases = [("constant", B, (2, 3, 50, 2000))
+             for B in (0.0, 1e-6 * gamma, 0.05 * gamma, 1.0, 20.0)]
+    if level == 3:
+        cases += [("step", B, (2000,)) for B in (1.0, 20.0)]
+    elif level == 4 and shape == "cross":
+        cases = [("constant", 1.0, (2, 3, 50, 2000))]
+    for eta, B, all_steps in cases:
+        f = fields_with_eta(m, eta)
+        modes = _modes(m, f, B)
+        for steps in all_steps:
+            _assert_matches_exact_bdf2(m, f, B, modes, 1.0, steps)
+
+
+@pytest.mark.parametrize("shape,eta", [("disk", "linear"), ("square", "step")])
+def test_autonomous_march_may_use_every_node(shape, eta):
+    """On a level-1 mesh (9 nodes) the basis spans the whole space: the
+    evaluation is then BDF2 itself, up to rounding."""
+    m = mesh.generate_canonical(shape, 1)
+    f = fields_with_eta(m, eta)
+    sol = _assert_matches_exact_bdf2(m, f, 0.1, _modes(m, f, 0.1), 1.0, 50)
+    assert sol.krylov_dim == m.num_vertices == 9
+
+
+def test_krylov_dim_is_reported_for_autonomous_marches_only(disk3):
+    f = fields_with_eta(disk3, "step")
+    auto = rhe.solve_rhea(disk3, f, rhe.RobinCoefficient(0.1, eta=f.eta),
+                          t_f=1.0, steps=100)
+    assert 8 <= auto.krylov_dim < disk3.num_vertices
+    # B = 0: the constants are an eigenvector, so one vector spans the march
+    still = rhe.solve_rhea(disk3, f, rhe.RobinCoefficient(0.0, eta=f.eta),
+                           t_f=1.0, steps=100)
+    assert still.krylov_dim == 1
+    varying = rhe.solve_rhe_timedep(
+        disk3, f, rhe.RobinCoefficient(0.1, eta=f.eta,
+                                       time_scale=lambda t: 1.0 + t),
+        t_f=1.0, steps=100)
+    assert varying.krylov_dim is None
+    # a time scale that is 1 at every step leaves the march autonomous
+    constant = rhe.solve_rhe_timedep(
+        disk3, f, rhe.RobinCoefficient(0.1, eta=f.eta,
+                                       time_scale=lambda t: 1.0),
+        t_f=1.0, steps=100)
+    assert constant.krylov_dim == auto.krylov_dim
+
+
+def test_a_march_past_the_krylov_cap_is_stepped(monkeypatch, disk3, tmp_path):
+    f = fields_with_eta(disk3, "step")
+    robin = rhe.RobinCoefficient(0.1, eta=f.eta)
+    lanczos = rhe.solve_rhea(disk3, f, robin, t_f=1.0, steps=100)
+    assert lanczos.krylov_dim > 2
+    monkeypatch.setattr(rhe, "KRYLOV_CAP", 2)
+    stepped = rhe.solve_rhea(disk3, f, robin, t_f=1.0, steps=100)
+    assert stepped.krylov_dim is None
+    forms = fem.assemble_forms(disk3, f)
+    u_avg, snaps = rhe._stepped_march(forms, 0.1, np.ones(101), 0.01,
+                                      rhe._snapshot_slots(100, 200))
+    assert np.array_equal(stepped.u_avg, u_avg)
+    assert np.array_equal(stepped.snapshots, snaps)
+    assert np.max(np.abs(stepped.u_avg - lanczos.u_avg)) <= 1e-12
+    assert np.max(np.abs(stepped.snapshots - lanczos.snapshots)) <= 1e-12
+    assert cli.main(["rhe", "--output-dir", str(tmp_path), "--shape", "disk",
+                     "--levels", "2", "--B", "0.1"]) == 0
 
 
 def test_robin_coefficient_validation(disk4):
