@@ -38,6 +38,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._checks import _require
+
 if TYPE_CHECKING:
     from .eigen import StabilityConstants
     from .fem import ConstrainedOperator, FieldSet
@@ -112,12 +114,9 @@ def phi_bound(phi111: float, gamma_sq_over_mu: float, var_sigma: float,
               gamma_over_lambda: float, var_eta: float) -> float:
     """(sqrt(phi111) + sqrt(gamma^2/mu * var_sigma)
     + sqrt(gamma/Lambda * var_eta))^2, the computable bound on phi."""
-    for name, v in (("phi111", phi111), ("gamma_sq_over_mu", gamma_sq_over_mu),
-                    ("var_sigma", var_sigma),
-                    ("gamma_over_lambda", gamma_over_lambda),
-                    ("var_eta", var_eta)):
-        if not 0 <= v < np.inf:
-            raise ValueError(f"{name} must be finite and nonnegative")
+    _require("nonnegative", phi111=phi111, gamma_sq_over_mu=gamma_sq_over_mu,
+             var_sigma=var_sigma, gamma_over_lambda=gamma_over_lambda,
+             var_eta=var_eta)
     return (math.sqrt(phi111) + math.sqrt(gamma_sq_over_mu * var_sigma)
             + math.sqrt(gamma_over_lambda * var_eta)) ** 2
 
@@ -154,11 +153,9 @@ def composite_sigma_variance(fractions, rho_c) -> float:
     rc = np.asarray(rho_c, dtype=float)
     if v.shape != rc.shape:
         raise ValueError("fractions and rho_c must have matching lengths")
-    if not (np.all(v > 0) and abs(v.sum() - 1.0) <= 1e-12):
-        raise ValueError("fractions must be finite, positive and sum to 1")
-    if not np.all((rc > 0) & (rc < np.inf)):
-        raise ValueError("rho_c (volumetric heat capacities) must be finite "
-                         "and positive")
+    _require("positive", fractions=v, rho_c=rc)
+    if abs(v.sum() - 1.0) > 1e-12:
+        raise ValueError(f"fractions must sum to 1, got {v.sum()!r}")
     avg = float(v @ rc)
     return float(v @ (rc / avg - 1.0) ** 2)
 
@@ -288,12 +285,8 @@ def assemble_budget(B: float, B_est: float, gamma: float, phi_used: float,
     ||eta - eta_bar||_{L1(L1)}) and activates the temporal term
     sqrt((2B/|Omega|)*norm).
     """
-    for name, v in (("B", B), ("B_est", B_est)):
-        if not 0 <= v < np.inf:
-            raise ValueError(f"{name} must be finite and nonnegative")
-    for name, v in (("gamma", gamma), ("phi_used", phi_used)):
-        if not 0 < v < np.inf:
-            raise ValueError(f"{name} must be finite and positive")
+    _require("nonnegative", B=B, B_est=B_est)
+    _require("positive", gamma=gamma, phi_used=phi_used)
     if B == B_est:
         biot = 0.0
     elif B_est == 0.0 or B == 0.0:
@@ -304,10 +297,8 @@ def assemble_budget(B: float, B_est: float, gamma: float, phi_used: float,
     temporal = None
     if temporal_inputs is not None:
         volume, norm = temporal_inputs
-        if not 0 < volume < np.inf:
-            raise ValueError("volume must be finite and positive")
-        if not 0 <= norm < np.inf:
-            raise ValueError("norm must be finite and nonnegative")
+        _require("positive", volume=volume)
+        _require("nonnegative", norm=norm)
         temporal = float(np.sqrt(2.0 * B / volume * norm))
     total = lumping + biot + (temporal or 0.0)
     return ErrorBudget(lumping=float(lumping), biot=float(biot),
@@ -347,13 +338,11 @@ def lambda1_expansion_check(mesh: Mesh2D, fields: FieldSet,
     from .fem import assemble_forms, factor_spd
     from .mesh import geometry_stats
     Bs = np.asarray(B_samples, dtype=float)
-    if not (Bs.ndim == 1 and np.all(np.isfinite(Bs) & (Bs > 0))
-            and np.unique(Bs).size >= 3):
-        raise ValueError("B_samples must be finite and > 0, with at least "
-                         "3 distinct values")
-    gamma = geometry_stats(mesh).gamma
-    if Bs.max() > 0.1 * gamma:
-        raise ValueError("samples must stay in the small-Biot regime")
+    # at most 0.1 gamma: the small-Biot regime
+    _require("positive", most=0.1 * geometry_stats(mesh).gamma, B_samples=Bs)
+    if Bs.ndim != 1 or np.unique(Bs).size < 3:
+        raise ValueError("B_samples must be a 1-D array of at least 3 "
+                         f"distinct finite values, got {Bs}")
     forms = assemble_forms(mesh, fields)
     lams = []
     for B in Bs:
@@ -373,12 +362,8 @@ def short_time_asymptotics(r1: float, r2: float, t) -> tuple[float, np.ndarray]:
     u = 1/(1 + sqrt(r1*r2)), and the Nusselt number follows the
     one-dimensional similarity decay Nu = sqrt(r1/r2)/sqrt(pi*t).
     """
-    for name, v in (("r1", r1), ("r2", r2)):
-        if not 0 < v < np.inf:
-            raise ValueError(f"{name} must be finite and positive")
     t = np.asarray(t, dtype=float)
-    if not np.all((t > 0) & (t < np.inf)):
-        raise ValueError("t must be finite and positive")
+    _require("positive", r1=r1, r2=r2, t=t)
     u_interface = 1.0 / (1.0 + np.sqrt(r1 * r2))
     nu = np.sqrt(r1 / r2) / np.sqrt(np.pi * t)
     if nu.ndim == 0:

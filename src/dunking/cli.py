@@ -315,15 +315,20 @@ def cmd_rhe(cfg):
     sol = rhe_mod.solve_rhea(msh, fields, robin, t_f=cfg["t_f"],
                              steps=cfg["steps"],
                              max_snapshots=cfg["max_snapshots"])
-    outdir = _outdir(cfg)
-    sol.write_series(os.path.join(outdir, "rhe_series.csv"))
-    if cfg["snapshots"]:
-        sol.write_snapshots(os.path.join(outdir, "rhe_snapshot_{:08.4f}.csv"))
+    cv = rhe_mod.coefficient_of_variation(sol, msh)
+    if not np.all(np.isfinite(cv)):  # refused before any file is written
+        k = int(np.argmin(np.isfinite(cv)))
+        raise RuntimeError(f"the coefficient of variation at t = {sol.snapshot_times[k]:.12g} "
+                           f"is {cv[k]}: the spatial mean of u is not positive there "
+                           "(more --steps shorten the BDF2 step)")
     lumped = lcm_mod.lcm_evaluate(lcm_mod.LumpedModel(cfg["B"], gs.gamma), sol.times)
     gap = float(np.max(np.abs(sol.u_avg - lumped)))
     bud = budget_mod.assemble_budget(cfg["B"], cfg["B"], gs.gamma,
                                      budget_mod.solve_phi(msh, fields).phi)
-    cv = rhe_mod.coefficient_of_variation(sol, msh)
+    outdir = _outdir(cfg)
+    sol.write_series(os.path.join(outdir, "rhe_series.csv"))
+    if cfg["snapshots"]:
+        sol.write_snapshots(os.path.join(outdir, "rhe_snapshot_{:.12g}.csv"))
     np.savetxt(os.path.join(outdir, "rhe_cv.csv"),
                np.column_stack([sol.snapshot_times, cv]), fmt="%.17g",
                delimiter=",", header="t,cv", comments="")

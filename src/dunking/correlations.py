@@ -16,6 +16,8 @@ from importlib import resources
 
 import numpy as np
 
+from ._checks import _require
+
 LENGTH_SCALE_KINDS = ("diameter", "equivalent_sphere", "sqrt_area",
                       "volume_over_surface")
 
@@ -41,14 +43,14 @@ class Shape:
 
     @staticmethod
     def sphere(D: float) -> "Shape":
-        _check_dimensions(D=D)
+        _require("positive", D=D)
         return Shape("sphere", volume=math.pi * D**3 / 6.0,
                      surface_area=math.pi * D**2, diameter=D)
 
     @staticmethod
     def spheroid(a: float, b: float) -> "Shape":
         """Semi-axes (a, b, b): one distinguished axis a, two equal axes b."""
-        _check_dimensions(a=a, b=b)
+        _require("positive", a=a, b=b)
         vol = 4.0 / 3.0 * math.pi * a * b * b
         if abs(a - b) < 1e-14 * max(a, b):
             area = 4.0 * math.pi * b * b
@@ -63,23 +65,17 @@ class Shape:
 
     @staticmethod
     def cuboid(lx: float, ly: float, lz: float) -> "Shape":
-        _check_dimensions(lx=lx, ly=ly, lz=lz)
+        _require("positive", lx=lx, ly=ly, lz=lz)
         return Shape("cuboid", volume=lx * ly * lz,
                      surface_area=2.0 * (lx * ly + ly * lz + lz * lx),
                      diameter=math.sqrt(lx * lx + ly * ly + lz * lz))
 
     @staticmethod
     def cylinder(D: float, L: float) -> "Shape":
-        _check_dimensions(D=D, L=L)
+        _require("positive", D=D, L=L)
         return Shape("cylinder", volume=math.pi * D * D * L / 4.0,
                      surface_area=math.pi * D * L + math.pi * D * D / 2.0,
                      diameter=math.sqrt(D * D + L * L))
-
-
-def _check_dimensions(**dims: float) -> None:
-    for name, value in dims.items():
-        if not 0 < value < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be finite and positive")
 
 
 def length_scale(shape: Shape, kind: str) -> float:
@@ -145,8 +141,7 @@ def get_correlation(name: str, Re_tr: float = RE_TRANSITION_DEFAULT) -> Correlat
     Re_tr (transitional Reynolds number) only affects flat_plate_turbulent;
     it is configurable because only its order of magnitude is standard.
     """
-    if not 0 < Re_tr < math.inf:
-        raise ValueError("Re_tr must be finite and positive")
+    _require("positive", Re_tr=Re_tr)
     if name == "flat_plate_laminar":
         return Correlation(name, _flat_plate_laminar, (0.0, 1.0e5),
                            (0.6, math.inf), "plate_length")
@@ -178,10 +173,8 @@ def eval_correlation(corr: Correlation, Re, Pr, strict: bool = False):
     """
     Re = float(Re)
     Pr = float(Pr)
-    if not 0 <= Re < np.inf:
-        raise ValueError("Re must be finite and nonnegative")
-    if not 0 < Pr < np.inf:
-        raise ValueError("Pr must be finite and positive")
+    _require("nonnegative", Re=Re)
+    _require("positive", Pr=Pr)
     ok = corr.in_range(Re, Pr)
     if strict and not ok:
         raise ValueError(
@@ -197,18 +190,15 @@ def transform_correlation(corr: Correlation, q: float, Re_in_D2, Pr,
     Nu[D2] = q^{-1} * corr(q * Re[D2], Pr); validity is checked at the
     correlation's native argument q*Re.  Returns (Nu, in_range_flag).
     """
-    if not 0 < q < math.inf:
-        raise ValueError("q (length scale ratio) must be finite and positive")
+    _require("positive", q=q)
     nu1, ok = eval_correlation(corr, q * float(Re_in_D2), Pr, strict=strict)
     return nu1 / q, ok
 
 
 def biot_from_nusselt(r2: float, Nu: float) -> float:
     """B = r2 * Nu (conductivity ratio times Nusselt number)."""
-    if not 0 < r2 < math.inf:
-        raise ValueError("conductivity ratio r2 must be finite and positive")
-    if not 0 <= Nu < math.inf:
-        raise ValueError("Nu must be finite and nonnegative")
+    _require("positive", r2=r2)
+    _require("nonnegative", Nu=Nu)
     return r2 * Nu
 
 

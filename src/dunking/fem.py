@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._checks import _require
 from .mesh import Mesh2D, _edge_table, _triangle_edges, geometry_stats
 from .series import piecewise_linear_mean, piecewise_linear_variance
 
@@ -159,12 +160,8 @@ class Forms:
 
 def assemble_forms(mesh: Mesh2D, fields: FieldSet) -> Forms:
     """The forms on `mesh` of finite fields with kappa, sigma > 0, eta >= 0."""
-    for name, v, strict in (("kappa", fields.kappa, True),
-                            ("sigma", fields.sigma, True),
-                            ("eta", fields.eta, False)):
-        if not np.all(np.isfinite(v) & ((v > 0) if strict else (v >= 0))):
-            raise ValueError(
-                f"{name} must be finite and {'>' if strict else '>='} 0")
+    _require("positive", kappa=fields.kappa, sigma=fields.sigma)
+    _require("nonnegative", eta=fields.eta)
     nv, t = mesh.num_vertices, mesh.triangles
     areas = mesh.triangle_areas()
     pattern = _p1_pattern(t, nv)  # shared by A0 and M

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _require
+
 
 @dataclass
 class LumpedModel:
@@ -18,10 +20,8 @@ class LumpedModel:
     gamma: float
 
     def __post_init__(self):
-        if not 0 <= self.B < np.inf:
-            raise ValueError("Biot number must be finite and nonnegative")
-        if not 0 < self.gamma < np.inf:
-            raise ValueError("gamma must be finite and positive")
+        _require("nonnegative", B=self.B)
+        _require("positive", gamma=self.gamma)
 
     @property
     def tau_eq(self) -> float:
@@ -35,10 +35,7 @@ def lcm_evaluate(model: LumpedModel, t):
     """u(t) = exp(-B*gamma*t) at nondimensional times t >= 0; a float for a
     scalar t, else an array of t's shape."""
     t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("time must be finite")
-    if np.any(t < 0):
-        raise ValueError("negative time")
+    _require("nonnegative", t=t)
     out = np.exp(-model.B * model.gamma * t)
     return float(out) if out.ndim == 0 else out
 
@@ -58,9 +55,7 @@ def time_scales(r1: float, r2: float, Re: float, Pr: float,
     ratio = (r2/r1)*Re*Pr/(B*gamma); a large value indicates the fluid
     reaches its (quasi-)steady state long before the solid cools.
     """
-    for name, v in (("r1", r1), ("r2", r2), ("Re", Re), ("Pr", Pr)):
-        if not 0 < v < np.inf:
-            raise ValueError(f"{name} must be finite and positive")
+    _require("positive", r1=r1, r2=r2, Re=Re, Pr=Pr)
     tau_conv = r1 / (r2 * Re * Pr)
     tau_eq = LumpedModel(B, gamma).tau_eq
     return TimeScaleReport(tau_conv=tau_conv, tau_eq_L=tau_eq,

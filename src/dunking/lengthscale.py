@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
+from ._checks import _require
 from .correlations import Correlation
 from .series import read_table
 
@@ -58,14 +58,13 @@ def solve_q(corr: Correlation, Re, Nu, Pr) -> np.ndarray:
     gives the answer in closed form instead.
     """
     Re, Nu, Pr = np.broadcast_arrays(*np.atleast_1d(Re, Nu, Pr))
-    if not all(np.all((0 < v) & (v < np.inf)) for v in (Re, Nu, Pr)):
-        raise ValueError("Re, Nu, Pr must all be finite and positive")
+    _require("positive", Re=Re, Nu=Nu, Pr=Pr)
     if corr.name == "ranz_marshall":
         c = 0.6 * np.sqrt(Re) * Pr ** (1.0 / 3.0)
         x = (c + np.sqrt(c * c + 8.0 * Nu)) / (2.0 * Nu)
         return x * x
-    if np.any(Re > np.finfo(float).max / Q_SEARCH_RANGE[1]):
-        raise ValueError("q Re must be finite over the whole search range")
+    # the search needs q Re finite at the top of the search range
+    _require("positive", Re=Re, most=np.finfo(float).max / Q_SEARCH_RANGE[1])
 
     def objective(log_q):
         q = np.exp(log_q)
@@ -95,10 +94,7 @@ def average_q_log(samples) -> float:
     Re, q = np.array(list(samples), dtype=float).reshape(-1, 2).T
     if len(Re) < 2:
         raise ValueError("need at least 2 samples to average")
-    if not np.all((Re > 0) & (Re < np.inf)):
-        raise ValueError("Re values must be finite and positive")
-    if not np.all((q > 0) & (q < np.inf)):
-        raise ValueError("q values must be finite and positive")
+    _require("positive", Re=Re, q=q)
     order = np.argsort(Re)
     Re, q = Re[order], q[order]
     if np.any(np.diff(Re) == 0):
@@ -120,17 +116,17 @@ class LengthScaleModel:
         self.log10_s = np.asarray(self.log10_s, dtype=float)
         self.theta_deg = np.asarray(self.theta_deg, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
+        _require("finite", log10_s=self.log10_s, theta_deg=self.theta_deg)
         for name, axis in (("log10_s", self.log10_s), ("theta_deg", self.theta_deg)):
-            if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0)):
-                raise ValueError(f"{name} must be finite and strictly increasing")
+            if not np.all(np.diff(axis) > 0):
+                raise ValueError(f"{name} must be strictly increasing")
         if self.q.shape != (len(self.log10_s), len(self.theta_deg)):
             raise ValueError("q grid shape does not match the axes")
-        if not np.all((self.q > 0) & (self.q < np.inf)):
-            raise ValueError("q must be finite and positive")
+        _require("positive", q=self.q)
 
     def evaluate(self, s: float, theta_deg: float) -> float:
-        if s <= 0:
-            raise ValueError("aspect ratio must be positive")
+        _require("positive", s=s)
+        _require("finite", theta_deg=theta_deg)
         return float(self._at(np.array([math.log10(s)]),
                               np.array([theta_deg], dtype=float))[0])
 
@@ -370,10 +366,7 @@ def fit_spheroid(points) -> SpheroidFit:
         raise ValueError("expected an (n, 3) point array")
     if len(X) < 10:
         raise ValueError("need at least 10 points")
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise ValueError(f"point {bad[0]} has a non-finite coordinate: "
-                         f"{X[bad[0]].tolist()}")
+    _require("finite", points=X)
     X = X - X.mean(axis=0)
     w, V = np.linalg.eigh(X.T @ X / len(X))
     if w[0] < 1e-10 * max(w[2], 1e-300):
@@ -409,11 +402,6 @@ def fit_spheroid(points) -> SpheroidFit:
 
 # -------------------------------------------------- sampling fixtures
 
-def _check_sample_count(n) -> None:
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be at least 1 and a finite integer, got {n}")
-
-
 def sample_spheroid_surface(a: float, b: float, n: int = 500,
                             theta_deg: float = 0.0, seed=None) -> np.ndarray:
     """Uniform-area sample of the spheroid with semi-axes (a, b, b).
@@ -423,11 +411,9 @@ def sample_spheroid_surface(a: float, b: float, n: int = 500,
     |cof(T) n| = b sqrt(b^2 n_x^2 + a^2 (1 - n_x^2)).  The cloud is rotated
     by theta_deg about the z axis (angle of attack).
     """
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError("semi-axes must be finite and positive")
-    if not math.isfinite(theta_deg):
-        raise ValueError("angle of attack must be finite")
-    _check_sample_count(n)
+    _require("positive", a=a, b=b)
+    _require("finite", theta_deg=theta_deg)
+    _require("a positive integer", n=n)
     rng = np.random.default_rng(seed)
     wmax = b * max(a, b)
     pts = []
@@ -451,9 +437,8 @@ def sample_spheroid_surface(a: float, b: float, n: int = 500,
 def sample_cuboid_surface(lx: float, ly: float, lz: float, n: int = 500,
                           seed=None) -> np.ndarray:
     """Uniform-area sample of the box surface, stratified by face."""
-    if not all(0 < v < math.inf for v in (lx, ly, lz)):
-        raise ValueError("edge lengths must be finite and positive")
-    _check_sample_count(n)
+    _require("positive", lx=lx, ly=ly, lz=lz)
+    _require("a positive integer", n=n)
     rng = np.random.default_rng(seed)
     dims = np.array([lx, ly, lz])
     areas = np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])

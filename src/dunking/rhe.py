@@ -26,6 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from ._checks import _require
 from .mesh import Mesh2D, geometry_stats
 from .fem import (FieldSet, assemble_forms, boundary_mean, factor_spd,
                   mass_matrix, _solve_spd)
@@ -82,8 +83,7 @@ class RobinCoefficient:
     time_scale: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.B) or self.B < 0:
-            raise ValueError("Biot number must be finite and nonnegative")
+        _require("nonnegative", B=self.B)
         if self.eta is None:
             raise ValueError("a boundary variation is required")
 
@@ -106,12 +106,20 @@ class TransientSolution:
                    fmt="%.17g", delimiter=",", header="t,u_avg", comments="")
 
     def write_snapshots(self, path_pattern: str) -> None:
-        """One nodal-value file per stored time; pattern receives the time."""
+        """One nodal-value file per stored time; pattern receives the time.
+        Two times that the pattern maps to one path are refused before any
+        file is written."""
         if self.snapshots is None:
             raise ValueError("no snapshots stored")
-        for t, snap in zip(self.snapshot_times, self.snapshots):
-            np.savetxt(path_pattern.format(t), snap,
-                       header="u", comments="", fmt="%.17g")
+        paths = {}
+        for t in self.snapshot_times.tolist():
+            path = path_pattern.format(t)
+            if path in paths:
+                raise ValueError(f"the snapshots at t = {paths[path]!r} and t = {t!r} "
+                                 f"both map to {path}")
+            paths[path] = t
+        for path, snap in zip(paths, self.snapshots):
+            np.savetxt(path, snap, header="u", comments="", fmt="%.17g")
 
 
 def _snapshot_slots(steps: int, max_snapshots: int) -> np.ndarray:
@@ -166,23 +174,18 @@ def _march(mesh, fields, robin, t_f, steps, max_snapshots):
     """
     if steps < 2:
         raise ValueError("need at least 2 time steps")
-    if not np.isfinite(t_f) or t_f <= 0:
-        raise ValueError("t_f must be finite and positive")
+    _require("positive", t_f=t_f)
     eta = np.asarray(robin.eta, dtype=float)
-    if not np.all(np.isfinite(eta) & (eta >= 0)):
-        raise ValueError("eta must be nonnegative and finite")
+    # assemble_forms refuses a bad eta before its mean is read
+    forms = assemble_forms(mesh, fields.replace(eta=eta))
     if abs(boundary_mean(mesh, eta) - 1.0) > 1e-8:
         raise ValueError("static eta must have perimeter mean 1")
     times = np.linspace(0.0, t_f, steps + 1)
     g = np.ones(steps + 1) if robin.time_scale is None else \
         np.array([float(robin.time_scale(t)) for t in times.tolist()])
-    bad = np.flatnonzero(~(np.isfinite(g) & (g >= 0)))
-    if bad.size:
-        raise ValueError("time scale must be finite and nonnegative; "
-                         f"g({times[bad[0]]:.17g}) = {g[bad[0]]}")
+    _require("nonnegative", at=("t", times), time_scale=g)
 
     dt = t_f / steps
-    forms = assemble_forms(mesh, fields.replace(eta=eta))
     slots = _snapshot_slots(steps, max_snapshots)
     krylov = None
     if not np.any(robin.B * (g[1:] - 1.0)):  # s = B (g - 1) = 0 at every step

@@ -17,6 +17,8 @@ import warnings
 
 import numpy as np
 
+from ._checks import _require
+
 
 # ------------------------------------------------------------- series
 
@@ -38,12 +40,9 @@ class NusseltSeries:
             raise ValueError("times and nu_avg must be matching 1D arrays")
         if self.times.size == 0:
             raise ValueError("the series has no samples")
-        if not np.all(np.isfinite(self.times)):
-            raise ValueError("times contains non-finite values")
+        _require("finite", times=self.times, nu_avg=self.nu_avg)
         if np.any(self.times[1:] <= self.times[:-1]):
             raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(self.nu_avg)):
-            raise ValueError("nu_avg contains non-finite values")
 
 
 _META_LINE = re.compile(r"[ \t]*#[ \t]*(\w+)[ \t]*=[ \t]*(.*?)[ \t]*\n?")
@@ -139,9 +138,7 @@ def vortex_frequency(St: float, r1: float, r2: float, Re: float, Pr: float):
     f_vs = St * (r2/r1) * Re * Pr, the Strouhal estimate carried into the
     nondimensionalization; t_vs = 1/f_vs is the oscillation period.
     """
-    for name, v in (("St", St), ("r1", r1), ("r2", r2), ("Re", Re), ("Pr", Pr)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and positive, got {v}")
+    _require("positive", St=St, r1=r1, r2=r2, Re=Re, Pr=Pr)
     f_vs = St * (r2 / r1) * Re * Pr
     if not 0 < f_vs < math.inf:
         raise ValueError(f"shedding frequency {f_vs} is out of range")
@@ -197,13 +194,9 @@ def steady_state_detect(series: NusseltSeries, St: float = 0.2,
     """
     if None in (series.Re, series.Pr, series.r1, series.r2):
         raise ValueError("series metadata (Re, Pr, r1, r2) is required")
-    for name, v in (("initial_window", initial_window),
-                    ("step_size", step_size), ("threshold", threshold)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be finite and positive, got {v}")
-    for name, v in (("growth", growth), ("activation", activation)):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+    _require("positive", initial_window=initial_window, step_size=step_size,
+             threshold=threshold)
+    _require("nonnegative", growth=growth, activation=activation)
     _, t_vs = vortex_frequency(St, series.r1, series.r2, series.Re, series.Pr)
 
     k = np.arange(MAX_WINDOWS + 1)
@@ -272,8 +265,8 @@ def _segments(coords, values, periodic, period):
             if len(pos) == 0:
                 raise ValueError("cannot infer the period from coincident points")
             period = float(coords[-1] - coords[0] + np.median(pos))
-        elif not 0 < period < math.inf:
-            raise ValueError(f"period must be finite and positive, got {period}")
+        else:
+            _require("positive", period=period)
         wrap = period - (coords[-1] - coords[0])
         if wrap < -1e-12 * period:
             raise ValueError("period shorter than the coordinate span")
@@ -286,8 +279,7 @@ def _segments(coords, values, periodic, period):
 def piecewise_linear_mean(h, a, b) -> float:
     """Length-weighted mean of a function linear on each segment, exact;
     segment i has length h[i] and end values a[i], b[i]."""
-    if not np.all(np.isfinite(h) & (h >= 0)):
-        raise ValueError("h (segment lengths) must be finite and nonnegative")
+    _require("nonnegative", h=h)
     return float((h * (a + b) / 2.0).sum() / h.sum())
 
 
@@ -313,12 +305,8 @@ def eta_profile_stats(coords, values, periodic: bool = False,
     values = np.asarray(values, dtype=float)
     if coords.ndim != 1 or coords.shape != values.shape or len(coords) < 2:
         raise ValueError("need matching 1D coords/values with >= 2 samples")
-    for what, arr in (("coordinate", coords), ("value", values)):
-        if not np.all(np.isfinite(arr)):
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise ValueError(f"profile sample {bad} has a non-finite {what}")
-    if np.any(values < 0):
-        raise ValueError("profile values must be nonnegative")
+    _require("finite", coords=coords)
+    _require("nonnegative", values=values)
     h, a, b, period = _segments(coords, values, periodic, period)
     if h.sum() <= 0:
         raise ValueError("profile has zero total length")

@@ -1,11 +1,13 @@
 """Public library functions refuse non-finite or out-of-domain input and
 name the parameter."""
+import functools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from dunking import budget, fem, mesh, rhe, series
+from dunking import budget, fem, lcm, mesh, rhe, series
 from dunking import correlations as corr
 from dunking import lengthscale as ls
 
@@ -29,6 +31,35 @@ def phi_with(name, value):
     field = getattr(f, name).copy()
     field.flat[0] = value
     return budget.solve_phi(m, f.replace(**{name: field}))
+
+
+def march_with(t_f=1.0, scale=None):
+    """A two-step march on the level-1 disk at B = 0.1."""
+    m = mesh.generate_canonical("disk", 1)
+    f = fem.FieldSet.from_constants(m)
+    return rhe.solve_rhe_timedep(
+        m, f, rhe.RobinCoefficient(0.1, eta=f.eta, time_scale=scale),
+        t_f=t_f, steps=2)
+
+
+def nonfinite(case, func, args, *names):
+    """nan and inf in turn for each named positional argument of `args`;
+    a name None skips its argument."""
+    return {f"{case}-{name}-{v}": (func, tuple(v if k == i else a
+                                               for k, a in enumerate(args)), name)
+            for i, name in enumerate(names) if name for v in (nan, inf)}
+
+
+def keyword(case, func, args, *names):
+    """nan and inf in turn for each named keyword argument."""
+    return {f"{case}-{name}-{v}": (functools.partial(func, **{name: v}), args, name)
+            for name in names for v in (nan, inf)}
+
+
+RM = corr.get_correlation("ranz_marshall")
+SERIES = series.NusseltSeries(np.linspace(0.0, 1.0, 11), np.ones(11), Re=100.0,
+                              Pr=0.71, r1=0.5, r2=2.0)
+SURROGATE = ls.LengthScaleModel([0, 1], [0, 90], [[1, 1], [1, 1]])
 
 
 def expansion_check(*samples):
@@ -98,6 +129,58 @@ CASES = {
     "expansion-B-two-distinct": (expansion_check, (1e-4, 1e-4, 2e-4), "B_samples"),
     "piecewise-mean-h-nan": (series.piecewise_linear_mean,
                              (np.array([1.0, nan]), np.ones(2), np.ones(2)), "h"),
+    # every other parameter that `_require` guards, nan and inf
+    "budget-volume-nan": (budget.assemble_budget, (0.1, 0.1, 2, 0.5, (nan, 1)), "volume"),
+    "budget-norm-inf": (budget.assemble_budget, (0.1, 0.1, 2, 0.5, (1, inf)), "norm"),
+    "expansion-B-inf": (expansion_check, (inf, 1e-4, 2e-4), "B_samples"),
+    "short-time-r1-inf": (budget.short_time_asymptotics, (inf, 1, [0.1]), "r1"),
+    "short-time-r2-nan": (budget.short_time_asymptotics, (1, nan, [0.1]), "r2"),
+    "spheroid-a-inf": (corr.Shape.spheroid, (inf, 1), "a"),
+    "spheroid-b-nan": (corr.Shape.spheroid, (1, nan), "b"),
+    **nonfinite("cuboid", corr.Shape.cuboid, (1, 1, 1), "lx"),
+    "cuboid-ly-inf": (corr.Shape.cuboid, (1, inf, 1), "ly"),
+    "cuboid-lz-nan": (corr.Shape.cuboid, (1, 1, nan), "lz"),
+    "cylinder-D-inf": (corr.Shape.cylinder, (inf, 1), "D"),
+    "cylinder-L-nan": (corr.Shape.cylinder, (1, nan), "L"),
+    **nonfinite("correlation", corr.get_correlation, ("flat_plate_turbulent", 1e6),
+                None, "Re_tr"),
+    **nonfinite("eval", corr.eval_correlation, (RM, 100.0, 0.71), None, "Re", "Pr"),
+    **nonfinite("biot", corr.biot_from_nusselt, (0.05, 2.0), "r2", "Nu"),
+    **nonfinite("lumped", lcm.LumpedModel, (0.1, 2.0), "B", "gamma"),
+    **nonfinite("lcm-evaluate", lcm.lcm_evaluate, (lcm.LumpedModel(0.1, 2.0), 1.0),
+                None, "t"),
+    **nonfinite("time-scales", lcm.time_scales, (1, 1, 10, 0.7, 0.1, 2),
+                "r1", "r2", "Re", "Pr"),
+    **nonfinite("solve-q", ls.solve_q, (RM, 100.0, 5.0, 0.71), None, "Re", "Nu", "Pr"),
+    "surrogate-log10_s-inf": (ls.LengthScaleModel, ([0, inf], [30], [[1], [1]]), "log10_s"),
+    "surrogate-theta_deg-inf": (ls.LengthScaleModel, ([0], [30, inf], [[1, 1]]), "theta_deg"),
+    "surrogate-q-inf": (ls.LengthScaleModel, ([0, 1], [30], [[1], [inf]]), "q"),
+    **nonfinite("evaluate", SURROGATE.evaluate, (1.0, 0.0), "s", "theta_deg"),
+    **nonfinite("spheroid-sample", ls.sample_spheroid_surface, (2, 1), "a", "b"),
+    **keyword("spheroid-sample", ls.sample_spheroid_surface, (2, 1), "theta_deg"),
+    "spheroid-sample-n-inf": (ls.sample_spheroid_surface, (2, 1, inf), "n"),
+    **nonfinite("cuboid-sample", ls.sample_cuboid_surface, (1, 1, 1), "lx", "ly", "lz"),
+    "cuboid-sample-n-nan": (ls.sample_cuboid_surface, (1, 1, 1, nan), "n"),
+    **{f"fit-points-{v}": (ls.fit_spheroid, (np.where(np.eye(12, 3) == 1, v, 1.0),),
+                           "points") for v in (nan, inf)},
+    **{f"nusselt-series-{name}-{v}": (series.NusseltSeries, args, name)
+       for v in (nan, inf)
+       for name, args in (("times", ([0.0, v, 2.0], [1.0, 1.0, 1.0])),
+                          ("nu_avg", ([0.0, 1.0, 2.0], [1.0, v, 1.0])))},
+    **nonfinite("vortex", series.vortex_frequency, (0.2, 0.5, 2.0, 100.0, 0.71),
+                "St", "r1", "r2", "Re", "Pr"),
+    **keyword("steady-state", series.steady_state_detect, (SERIES,),
+              "initial_window", "step_size", "threshold", "growth", "activation"),
+    **{f"eta-profile-{name}-{v}": (series.eta_profile_stats, args, name)
+       for v in (nan, inf)
+       for name, args in (("coords", ([0.0, v, 2.0], [1.0, 2.0, 1.0])),
+                          ("values", ([0.0, 1.0, 2.0], [1.0, v, 1.0])))},
+    "piecewise-mean-h-inf": (series.piecewise_linear_mean,
+                             (np.array([1.0, inf]), np.ones(2), np.ones(2)), "h"),
+    **nonfinite("robin", rhe.RobinCoefficient, (0.1, np.ones(8)), "B"),
+    **keyword("march", march_with, (), "t_f"),
+    **{f"march-time_scale-{v}": (march_with, (1.0, lambda t, v=v: v), "time_scale")
+       for v in (nan, inf)},
 }
 
 
@@ -106,6 +189,17 @@ def test_bad_argument_is_named(case):
     func, args, name = CASES[case]
     with pytest.raises(ValueError, match=f"^{name} .*finite"):
         func(*args)
+
+
+def test_only_the_helper_words_a_refusal():
+    """Every finiteness, sign or bound refusal goes through
+    `dunking._checks._require`: no other module spells its message."""
+    src = pathlib.Path(fem.__file__).parent
+    found = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+             if path.name != "_checks.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if "must be finite" in line]
+    assert found == []
 
 
 def march_on_disk1(B, t_f, scale=None, steps=2000):

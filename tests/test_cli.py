@@ -589,7 +589,7 @@ def test_nonfinite_scalars_are_config_errors(tmp_path, argv):
      "numeric failure: no interior minimum for churchill_bernstein at Re=1e+300"),
     *[(("correlate", "--name", "ranz_marshall", "--Re", "100", "--Pr", "0.7",
         "--q", value), 2,
-       "config error: q (length scale ratio) must be finite and positive")
+       f"config error: q must be finite and positive, got {value}")
       for value in ("nan", "inf")],
     (("learn-q", "--correlation", "ranz_marshall", "--samples",
       "SAMPLES_JUNK"), 2, "config error: SAMPLES_JUNK: samples CSV needs "
@@ -800,7 +800,7 @@ def test_every_option_changes_the_output_or_is_refused(tmp_path, command):
     ("fit-shape", "--points",
      "x,y,z\n" + "".join(f"{np.cos(k)},{np.sin(k)},{0.1 * k}\n"
                          for k in range(11)) + "1,nan,0\n",
-     "point 11 has a non-finite coordinate"),
+     "points must be finite, got nan at index (11, 1)"),
 ], ids=["series-nan-time", "series-nan-Re", "series-no-rows",
         "points-nan-coordinate"])
 def test_nonfinite_file_inputs_are_config_errors(tmp_path, capsys, command,
@@ -911,7 +911,7 @@ def test_negative_variance_in_bounds_is_named(tmp_path, capsys):
                   "--gamma-over-lambda", "2", "--var-eta", "-1")
     assert code == 2
     assert capsys.readouterr().err == \
-        "config error: var_eta must be finite and nonnegative\n"
+        "config error: var_eta must be finite and nonnegative, got -1.0\n"
 
 
 @pytest.mark.parametrize("exc", [
@@ -974,7 +974,7 @@ def test_nonfinite_biot_is_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "rhe", "--shape", "disk", "--levels", "3",
                     "--B", "nan")
     assert code == 2
-    assert "Biot number" in capsys.readouterr().err
+    assert "B must be finite and nonnegative, got nan" in capsys.readouterr().err
     assert not (out / "rhe_series.csv").exists()
 
 
@@ -986,6 +986,29 @@ def test_rhe_refuses_a_t_f_at_which_the_field_underflows(tmp_path, capsys):
     assert err.startswith("config error: t_f = 1e+300 at B = 0.1: ") and \
         "underflows" in err, err
     assert list(tmp_path.iterdir()) == []  # no manifest, no CSV
+
+
+def test_rhe_writes_one_snapshot_file_per_cv_row(tmp_path):
+    # 41 snapshots 2.5e-5 apart: four decimals gave 11 distinct names
+    code, out = run(tmp_path, "rhe", "--shape", "disk", "--levels", "2",
+                    "--B", "0.1", "--t-f", "0.001", "--steps", "200",
+                    "--max-snapshots", "50", "--snapshots", "true")
+    assert code == 0
+    cv = np.loadtxt(out / "rhe_cv.csv", delimiter=",", skiprows=1)
+    files = sorted(out.glob("rhe_snapshot_*.csv"))
+    assert len(files) == len(cv) == 41
+    assert {p.name for p in files} == {f"rhe_snapshot_{t:.12g}.csv"
+                                       for t in cv[:, 0]}
+
+
+def test_rhe_refuses_a_nonfinite_cv_before_writing(tmp_path, capsys):
+    # lambda_1 dt > 1/2: BDF2 oscillates and the mean field goes negative
+    code, _ = run(tmp_path, "rhe", "--shape", "disk", "--levels", "2",
+                  "--B", "1", "--t-f", "10", "--steps", "10")
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: the coefficient of variation at t = 3 is nan")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rhe_rejects_zero_snapshots_before_solving(tmp_path, capsys):

@@ -63,9 +63,10 @@ def test_batch_names_its_unreachable_sample():
 
 def test_batch_is_validated_before_solving():
     # the unreachable first sample would raise LearningError if solved first
-    with pytest.raises(ValueError, match="must all be finite and positive"):
+    with pytest.raises(ValueError,
+                       match="^Nu must be finite and positive, got nan at index 1"):
         ls.solve_q(CB, [1.0, 10.0], [1.0e9, np.nan], 0.71)
-    with pytest.raises(ValueError, match="q Re must be finite"):
+    with pytest.raises(ValueError, match="^Re must be finite and positive and at most"):
         ls.solve_q(CB, 1.0e305, 5.0, 0.71)    # q Re overflows at q = 1e4
 
 
@@ -91,9 +92,9 @@ def test_dip_beside_the_settled_minimum_is_rejected(side):
 
 def test_sample_validation():
     for c in (RM, CB):   # closed form and search
-        with pytest.raises(ValueError, match="must all be finite and positive"):
+        with pytest.raises(ValueError, match="^Re must be finite and positive"):
             ls.solve_q(c, -1.0, 2.0, 0.71)
-        with pytest.raises(ValueError, match="must all be finite and positive"):
+        with pytest.raises(ValueError, match="^Nu must be finite and positive"):
             ls.solve_q(c, 1.0, 0.0, 0.71)
 
 
@@ -175,10 +176,13 @@ def test_surrogate_equals_scipy_bilinear():
         line._at(a[-100:], np.full(100, ts[0])),
         RegularGridInterpolator((xs, ts[:1]), q[:, :1])(
             np.column_stack([a[-100:], np.full(100, ts[0])])))
-    for s, th in [(10.0 ** (xs[-1] + 1e-9), ts[0]), (10.0 ** xs[0], ts[-1] + 1),
-                  (math.nan, ts[0]), (10.0 ** xs[0], math.nan),
-                  (math.inf, ts[0])]:
-        with pytest.raises(ValueError, match="outside the surrogate grid"):
+    for s, th, message in [
+            (10.0 ** (xs[-1] + 1e-9), ts[0], "outside the surrogate grid"),
+            (10.0 ** xs[0], ts[-1] + 1, "outside the surrogate grid"),
+            (math.nan, ts[0], "^s must be finite and positive"),
+            (10.0 ** xs[0], math.nan, "^theta_deg must be finite"),
+            (math.inf, ts[0], "^s must be finite and positive")]:
+        with pytest.raises(ValueError, match=message):
             model.evaluate(s, th)
 
 
@@ -389,9 +393,9 @@ def test_samplers_deterministic_and_on_surface():
     with pytest.raises(ValueError):
         ls.sample_cuboid_surface(1.0, 0.0, 1.0)
     for n in (0, -5):
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match="^n must be finite and a positive integer"):
             ls.sample_spheroid_surface(2.0, 0.5, n=n)
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match="^n must be finite and a positive integer"):
             ls.sample_cuboid_surface(1.0, 2.0, 3.0, n=n)
 
 

@@ -119,6 +119,8 @@ def test_time_dependent_constant_matches_autonomous(disk4, monkeypatch):
     gs = mesh.geometry_stats(disk4)
     B = 0.02 * gs.gamma
     t_f = 1.0 / (B * gs.gamma)
+    # g = 1 leaves both marches autonomous: past the Krylov cap they step
+    monkeypatch.setattr(rhe, "KRYLOV_CAP", 2)
     for budget in (rhe.DENSE_BUDGET, 0):  # dense steps, then sparse steps
         monkeypatch.setattr(rhe, "DENSE_BUDGET", budget)
         auto = rhe.solve_rhea(disk4, f, rhe.RobinCoefficient(B, eta=f.eta),
@@ -127,6 +129,7 @@ def test_time_dependent_constant_matches_autonomous(disk4, monkeypatch):
             disk4, f,
             rhe.RobinCoefficient(B, eta=f.eta, time_scale=lambda t: 1.0),
             t_f=t_f, steps=200)
+        assert auto.krylov_dim is None
         assert np.array_equal(auto.u_avg, tdep.u_avg)
 
 
@@ -145,7 +148,10 @@ def test_dense_steps_match_sparse_steps(monkeypatch, shape, level, schedule):
         scale = lambda t: 1.0 if t < 0.5 * t_f else 1.5
     robin = rhe.RobinCoefficient(B, eta=f.eta, time_scale=scale)
     solve = lambda: rhe._march(m, f, robin, t_f, 400, 401)
+    # past the Krylov cap an autonomous march steps too
+    monkeypatch.setattr(rhe, "KRYLOV_CAP", 2)
     dense = solve()
+    assert dense.krylov_dim is None
     monkeypatch.setattr(rhe, "DENSE_BUDGET", 0)
     sparse = solve()
     assert np.max(np.abs(dense.u_avg - sparse.u_avg)) <= 1e-13
@@ -507,7 +513,7 @@ def test_timedep_input_validation(disk4):
             disk4, f, rhe.RobinCoefficient(0.1, eta=eta, time_scale=scale),
             t_f=t_f, steps=10)
 
-    with pytest.raises(ValueError, match="eta must be nonnegative"):
+    with pytest.raises(ValueError, match="^eta must be finite and nonnegative"):
         solve(eta=bad)
     with pytest.raises(ValueError, match="perimeter mean 1"):
         solve(eta=2 * f.eta)
@@ -516,7 +522,8 @@ def test_timedep_input_validation(disk4):
             solve(t_f=t_f)
     for scale in (lambda t: np.nan, lambda t: np.inf,
                   lambda t: 1.0 - 2.0 * (t > 0.5)):
-        with pytest.raises(ValueError, match="time scale"):
+        with pytest.raises(ValueError, match="^time_scale must be finite and "
+                           r"nonnegative, got .* at t = \d"):
             solve(scale=scale)
 
 
@@ -568,6 +575,16 @@ def test_series_io(tmp_path, disk4):
     first = pattern.format(sol.snapshot_times[0])
     vals = np.loadtxt(first, delimiter=",", skiprows=1)
     assert np.allclose(vals, sol.snapshots[0])
+
+
+def test_snapshots_that_share_a_path_are_refused(tmp_path):
+    t = np.array([0.0, 0.01, 0.02])
+    sol = rhe.TransientSolution(t, np.ones(3), snapshot_times=t,
+                                snapshots=np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"^the snapshots at t = 0\.0 and "
+                       r"t = 0\.01 both map to .*snap_0\.0\.csv$"):
+        sol.write_snapshots(str(tmp_path / "snap_{:.1f}.csv"))
+    assert list(tmp_path.iterdir()) == []  # refused before any file
 
 
 def test_spectral_reconstruction_matches_stepper(disk4):

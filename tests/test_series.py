@@ -481,9 +481,10 @@ def test_profile_errors():
 
 
 @pytest.mark.parametrize("coords,values,message", [
-    ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], "sample 1 has a non-finite value"),
-    ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], "sample 1 has a non-finite coordinate"),
-])
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0],
+     "^values must be finite and nonnegative, got nan at index 1"),
+    ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], "^coords must be finite, got nan at index 1"),
+], ids=["value-nan", "coordinate-nan"])
 def test_profile_rejects_nonfinite_samples(coords, values, message):
     with pytest.raises(ValueError, match=message):
         series.eta_profile_stats(coords, values)
